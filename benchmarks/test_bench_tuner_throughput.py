@@ -1,10 +1,12 @@
 """Autotuning-loop measurement throughput: batched vs per-candidate.
 
 Times one GA-style measurement generation — duplicate-heavy, as genetic
-populations and model-based tuners produce them — through the
-``SimulatorRunner`` on both measurement paths and writes
-``benchmarks/results/tuner_throughput.txt`` plus a machine-readable
-``tuner_throughput.json`` so the trajectory stays diffable across PRs.
+populations and model-based tuners produce them — through the batched
+``SimulatorRunner`` and through a per-candidate baseline (one cold
+``Simulator.run`` per candidate, scored like the runner's default score),
+and writes ``benchmarks/results/tuner_throughput.txt`` plus a
+machine-readable ``tuner_throughput.json`` so the trajectory stays diffable
+across PRs.
 
 Three views are reported:
 
@@ -27,9 +29,9 @@ Gates:
 * non-smoke only: batched unique-only runner throughput must stay within
   ``RUNNER_ENGINE_MAX_OVERHEAD`` (2x) of the engine floor — the tuning
   loop is not allowed to cost more than the simulations it schedules;
-* both paths must return identical scores and the dedupe hit rate must
-  match the constructed duplicate fraction exactly (timing-free, so these
-  hold in smoke mode too).
+* the runner must return the per-candidate baseline's scores and the
+  dedupe hit rate must match the constructed duplicate fraction exactly
+  (timing-free, so these hold in smoke mode too).
 
 Scale knobs (environment variables):
 
@@ -48,9 +50,15 @@ import random
 import time
 
 import repro.workloads  # noqa: F401 — registers the tuning templates
-from repro.autotune import LocalBuilder, MeasureInput, SimulatorRunner, create_task
+from repro.autotune import (
+    LocalBuilder,
+    MeasureInput,
+    MeasureResult,
+    SimulatorRunner,
+    create_task,
+)
 from repro.codegen.target import Target
-from repro.sim import BatchSimulator, TraceOptions
+from repro.sim import BatchSimulator, RuntimeConfig, Simulator, TraceOptions
 from repro.utils.tabulate import format_table
 
 from benchmarks.conftest import write_result
@@ -104,27 +112,36 @@ def test_bench_tuner_throughput(results_dir):
     assert all(build.ok for build in ga_builds + unique_builds)
     programs = [build.program for build in unique_builds]
 
-    def run_runner(batch, inputs, builds):
-        runner = SimulatorRunner(
-            ARCH, trace_options=trace, memoize=False, batch=batch
-        )
+    def run_runner(inputs, builds):
+        runner = SimulatorRunner(ARCH, trace_options=trace, memoize=False)
         results = runner.run(inputs, builds)
         assert all(result.error_no == 0 for result in results)
         return runner, results
 
+    def run_per_candidate(builds):
+        # One Simulator call per candidate, scored like the runner's
+        # default score (executed instructions).
+        simulator = Simulator(ARCH, trace_options=trace, config=RuntimeConfig(memoize=False))
+        results = []
+        for build in builds:
+            simulation = simulator.run(build.program)
+            score = float(simulation.stats.get("cpu.num_insts"))
+            results.append(MeasureResult(costs=[score], all_cost=simulation.host_seconds))
+        return results
+
     # Correctness before timing: both paths must return identical scores and
     # the dedupe accounting must match the constructed duplicate fraction.
-    batched_runner, batched_results = run_runner(True, ga_inputs, ga_builds)
-    _, serial_results = run_runner(False, ga_inputs, ga_builds)
+    batched_runner, batched_results = run_runner(ga_inputs, ga_builds)
+    serial_results = run_per_candidate(ga_builds)
     assert [r.costs for r in batched_results] == [r.costs for r in serial_results]
     assert batched_runner.dedupe_lookups == len(ga_inputs)
     dedupe_rate = batched_runner.dedupe_hits / batched_runner.dedupe_lookups
     assert dedupe_rate == 0.5  # half the generation is duplicates
 
-    t_serial = _best_of(lambda: run_runner(False, ga_inputs, ga_builds))
-    t_batched = _best_of(lambda: run_runner(True, ga_inputs, ga_builds))
-    t_serial_unique = _best_of(lambda: run_runner(False, unique_inputs, unique_builds))
-    t_batched_unique = _best_of(lambda: run_runner(True, unique_inputs, unique_builds))
+    t_serial = _best_of(lambda: run_per_candidate(ga_builds))
+    t_batched = _best_of(lambda: run_runner(ga_inputs, ga_builds))
+    t_serial_unique = _best_of(lambda: run_per_candidate(unique_builds))
+    t_batched_unique = _best_of(lambda: run_runner(unique_inputs, unique_builds))
     t_engine = _best_of(
         lambda: BatchSimulator(ARCH, trace_options=trace, memoize=False).run_batch(
             programs

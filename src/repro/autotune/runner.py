@@ -14,7 +14,6 @@ function registry under the name ``"autotvm.simulator_run"``.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace as dataclasses_replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -54,15 +53,6 @@ def _failure_result(failure: SimulationFailure) -> MeasureResult:
         error_no=_FAILURE_ERROR_NO.get(failure.kind, MeasureErrorNo.RUNTIME_ERROR),
         error_msg=f"{failure.kind} after {failure.attempts} attempt(s): {failure.error}",
         all_cost=failure.host_seconds,
-    )
-
-
-def batched_measurement_default() -> bool:
-    """Whether runners route simulations through the candidate-batch
-    scheduler by default (``REPRO_RUNNER_BATCH=0`` restores the
-    per-candidate path; results are bit-identical either way)."""
-    return os.environ.get("REPRO_RUNNER_BATCH", "1").strip().lower() not in (
-        "0", "false", "off",
     )
 
 
@@ -114,9 +104,9 @@ class LocalRunner(Runner):
 class SimulatorRunner(Runner):
     """Custom runner executing autotuning workloads on simulators (Listing 3).
 
-    The measurement batch travels the **candidate-batch scheduler** by
-    default (``batch=True``): identical candidates — which GA populations
-    and model-based tuners produce in numbers — are deduplicated by
+    The measurement batch travels the **candidate-batch scheduler**:
+    identical candidates — which GA populations and model-based tuners
+    produce in numbers — are deduplicated by
     :meth:`~repro.codegen.program.Program.content_digest` *before* any
     simulation (within one runner every other memoization-key component is
     fixed, so digest-level dedupe coincides exactly with memo-key dedupe),
@@ -128,7 +118,8 @@ class SimulatorRunner(Runner):
     settled prefix grows, because stateful score functions (the
     predictor's window estimators) are order-sensitive.  Scores,
     statistics, error mapping and retry accounting are bit-identical to
-    the per-candidate path (``REPRO_RUNNER_BATCH=0`` or ``batch=False``).
+    one :meth:`~repro.sim.simulator.Simulator.run` per candidate, scored
+    in input order.
     """
 
     def __init__(
@@ -143,7 +134,6 @@ class SimulatorRunner(Runner):
         memoize: bool = True,
         timeout_s: float = 0.0,
         retry: Optional[RetryPolicy] = None,
-        batch: Optional[bool] = None,
         on_result: Optional[ResultCallback] = None,
         config: Optional[RuntimeConfig] = None,
     ):
@@ -164,8 +154,6 @@ class SimulatorRunner(Runner):
             config=self.config,
         )
         self.collect_results = collect_results
-        # Precedence: explicit kwarg > config field > REPRO_RUNNER_BATCH > on.
-        self.batch = self.config.resolved_runner_batch() if batch is None else bool(batch)
         #: Streaming hook: called as each candidate's measurement settles.
         self.on_result = on_result
         #: Simulation results of every successful run, in measurement order.
@@ -180,9 +168,9 @@ class SimulatorRunner(Runner):
 
         This is the override point of the paper's interface: registering a
         function under ``"autotvm.simulator_run"`` replaces the built-in pool
-        (for instance to drive an external simulator); with batching enabled
-        the override receives the *deduplicated* program list.  The built-in
-        pool runs through the resilient API, so individual entries may be
+        (for instance to drive an external simulator); the override receives
+        the *deduplicated* program list.  The built-in pool runs through the
+        resilient API, so individual entries may be
         :class:`~repro.sim.simulator.SimulationFailure` records (hung,
         crashed or erroring candidates) instead of results; an external
         override may return plain results only.
@@ -194,10 +182,8 @@ class SimulatorRunner(Runner):
         external = get_func("autotvm.simulator_run")
         if external is not None:
             yield from external(programs, self.arch, self.n_parallel)
-        elif self.batch:
-            yield from self.pool.iter_batch_resilient(programs)
         else:
-            yield from self.pool.run_many_resilient(programs)
+            yield from self.pool.iter_batch_resilient(programs)
 
     def default_score(self, result: SimulationResult, measure_input: MeasureInput) -> float:
         """Fallback score when no predictor is attached: total executed instructions.
@@ -220,24 +206,17 @@ class SimulatorRunner(Runner):
         ]
         # Deduplicate before any simulation: one simulation per distinct
         # program content, fanned back out to every duplicate position.
-        # (With batching off, every position stays its own submission, so
-        # the per-candidate path is preserved exactly.)
         unique_programs: List = []
         positions_by_unique: List[List[int]] = []
-        if self.batch:
-            unique_by_digest: Dict[str, int] = {}
-            for position, program in indexed_programs:
-                digest = program.content_digest()
-                u = unique_by_digest.get(digest)
-                if u is None:
-                    u = unique_by_digest[digest] = len(unique_programs)
-                    unique_programs.append(program)
-                    positions_by_unique.append([])
-                positions_by_unique[u].append(position)
-        else:
-            for position, program in indexed_programs:
+        unique_by_digest: Dict[str, int] = {}
+        for position, program in indexed_programs:
+            digest = program.content_digest()
+            u = unique_by_digest.get(digest)
+            if u is None:
+                u = unique_by_digest[digest] = len(unique_programs)
                 unique_programs.append(program)
-                positions_by_unique.append([position])
+                positions_by_unique.append([])
+            positions_by_unique[u].append(position)
         self.dedupe_lookups += len(indexed_programs)
         self.dedupe_hits += len(indexed_programs) - len(unique_programs)
 
@@ -255,7 +234,7 @@ class SimulatorRunner(Runner):
             # (the predictor's window estimators) are order-sensitive, and
             # duplicate positions settle out of order under dedupe fan-out.
             # Position-ordered scoring keeps the batched trajectory
-            # bit-identical to the per-candidate path.
+            # bit-identical to scoring one simulation per candidate.
             nonlocal emitted
             while emitted < n and settled[emitted]:
                 position = emitted
@@ -352,7 +331,6 @@ class RunnerStatsCollector(Runner):
         memoize: bool = True,
         timeout_s: float = 0.0,
         retry: Optional[RetryPolicy] = None,
-        batch: Optional[bool] = None,
         config: Optional[RuntimeConfig] = None,
     ):
         super().__init__(n_parallel=n_parallel, timeout_s=timeout_s)
@@ -370,7 +348,6 @@ class RunnerStatsCollector(Runner):
             retry=retry,
             config=self.config,
         )
-        self.batch = self.config.resolved_runner_batch() if batch is None else bool(batch)
         #: Paired training records: (measure input, simulation result, measurement record).
         self.records: List[tuple] = []
 
@@ -381,13 +358,10 @@ class RunnerStatsCollector(Runner):
     ) -> List[MeasureResult]:
         results: List[MeasureResult] = []
         ok_programs = [build.program for build in build_results if build.ok]
-        # The batched path streams simulations back while this loop is still
+        # The pool streams simulations back while this loop is still
         # measuring earlier candidates on the board, so the two halves of a
         # training pair overlap instead of serialising per candidate.
-        if self.batch:
-            simulations = self.pool.iter_batch_resilient(ok_programs)
-        else:
-            simulations = iter(self.pool.run_many_resilient(ok_programs))
+        simulations = self.pool.iter_batch_resilient(ok_programs)
         for measure_input, build in zip(measure_inputs, build_results):
             if not build.ok:
                 results.append(

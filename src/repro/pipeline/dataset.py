@@ -196,7 +196,6 @@ def generate_group_samples(
 def generate_dataset(
     config: DatasetConfig,
     verbose: bool = False,
-    strict: bool = False,
     retry: Optional[RetryPolicy] = None,
 ) -> PredictorDataset:
     """Generate the full dataset for one architecture (all groups).
@@ -205,14 +204,12 @@ def generate_dataset(
     (``config.backend`` selects threads or processes) and assembled in group
     order, which keeps the dataset bit-identical to a serial run.
 
-    A failing group no longer takes down the run: its error is recorded,
+    A failing group does not take down the run: its error is recorded,
     every other group completes, failed groups are re-generated serially
     per ``retry`` (``None`` reads ``REPRO_RETRY_*``; retries are disabled
     by default), and a :class:`DatasetGenerationError` — carrying the
     per-group failure records *and* the partial dataset — is raised at the
-    end if any group still failed.  ``strict=True`` restores the historical
-    behaviour: the first group error propagates immediately and nothing
-    else is attempted.
+    end if any group still failed.
     """
     trace_options = TraceOptions(max_accesses=config.trace_max_accesses, engine=config.engine)
     protocol = MeasurementProtocol(n_exe=config.n_exe, cooldown_s=config.cooldown_s)
@@ -235,33 +232,7 @@ def generate_dataset(
             protocol=protocol,
         )
 
-    if strict:
-        if workers == 1 or len(groups) <= 1:
-            per_group = [_generate(item) for item in groups]
-        elif config.backend == "processes":
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        generate_group_samples,
-                        config.arch,
-                        group_id,
-                        params,
-                        config.implementations_per_group,
-                        config.seed,
-                        trace_options,
-                        protocol,
-                    )
-                    for group_id, params in groups
-                ]
-                per_group = [future.result() for future in futures]
-        else:  # "threads"; the config validates the backend at construction
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_group = list(pool.map(_generate, groups))
-        for samples in per_group:
-            dataset.extend(samples)
-        return dataset
-
-    # Resilient path: contain per-group failures, keep generating the rest.
+    # Contain per-group failures and keep generating the rest.
     per_group_opt: List[Optional[List[TrainingSample]]] = [None] * len(groups)
     failures: Dict[int, GroupFailure] = {}
 

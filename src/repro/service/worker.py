@@ -10,8 +10,8 @@ fast path with the full reliability semantics (cooperative per-candidate
 deadlines, retry accounting, per-candidate crash containment).  A crashed
 or erroring candidate settles as a structured
 :class:`~repro.sim.simulator.SimulationFailure` for its own requester only;
-its wave-mates and the worker itself keep going, mirroring
-``SimulatorPool.run_many_resilient`` containment.
+its wave-mates and the worker itself keep going — the same containment
+every ``SimulatorPool`` backend gets from ``iter_batch_resilient``.
 
 Above the worker thread sits a **supervisor**: a heartbeat loop that
 restarts the worker if its thread dies (the ``worker_thread_crash``

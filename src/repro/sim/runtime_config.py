@@ -1,12 +1,11 @@
 """Typed runtime configuration: one resolution point for the toggle surface.
 
 The simulation stack grew one environment variable per PR — engine selection,
-trace representation, native-kernel and arena-batching toggles, the batched
-measurement path, retry policy, the shared memo directory.  Each used to be
-read ad hoc at its point of use (``os.environ.get`` scattered through
-``engine.py``, ``simulator.py``, ``runner.py``, ``memo.py``), which made the
-effective configuration of a run impossible to inspect or to pin down for a
-service process.
+trace representation, native-kernel and arena-batching toggles, retry policy,
+the shared memo directory.  Each used to be read ad hoc at its point of use
+(``os.environ.get`` scattered through ``engine.py``, ``simulator.py``,
+``runner.py``, ``memo.py``), which made the effective configuration of a run
+impossible to inspect or to pin down for a service process.
 
 :class:`RuntimeConfig` consolidates that surface into a frozen dataclass with
 **one documented env-resolution point**, :meth:`RuntimeConfig.from_env`:
@@ -28,9 +27,6 @@ service process.
                                                    disables; default on)
 ``arena``                 ``REPRO_SIM_ARENA``      cross-chunk arena batching
                                                    (``0`` disables; default on)
-``runner_batch``          ``REPRO_RUNNER_BATCH``   candidate-batch measurement
-                                                   path (``0``/``false``/``off``
-                                                   disables; default on)
 ``memo_dir``              ``REPRO_SIM_MEMO_DIR``   shared on-disk memo directory
                                                    (default: per-user temp dir)
 ``retry``                 ``REPRO_RETRY_*``        retry policy of the resilient
@@ -71,7 +67,6 @@ ENV_SURFACE: Tuple[Tuple[str, str, str], ...] = (
      "replacement policy of every hierarchy level (registry name; default Table I)"),
     ("native", "REPRO_SIM_NATIVE", "compiled C kernels (0 disables)"),
     ("arena", "REPRO_SIM_ARENA", "cross-chunk arena batching (0 disables)"),
-    ("runner_batch", "REPRO_RUNNER_BATCH", "candidate-batch measurement path"),
     ("memo_dir", "REPRO_SIM_MEMO_DIR", "shared on-disk memo directory"),
     ("retry", "REPRO_RETRY_ATTEMPTS (+_BASE_DELAY_S/_MAX_DELAY_S/_SEED)",
      "retry policy of the resilient APIs"),
@@ -81,13 +76,6 @@ ENV_SURFACE: Tuple[Tuple[str, str, str], ...] = (
 def _native_flag(value: Optional[str]) -> bool:
     """``REPRO_SIM_NATIVE``/``REPRO_SIM_ARENA`` reading: only ``"0"`` disables."""
     return value != "0"
-
-
-def _batch_flag(value: Optional[str]) -> bool:
-    """``REPRO_RUNNER_BATCH`` semantics (matches ``batched_measurement_default``)."""
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "off")
 
 
 @dataclass(frozen=True)
@@ -111,8 +99,6 @@ class RuntimeConfig:
     native: Optional[bool] = None
     #: Arena-batching toggle (process-global; see :meth:`apply_process_toggles`).
     arena: Optional[bool] = None
-    #: Whether runners use the candidate-batch measurement path.
-    runner_batch: Optional[bool] = None
     #: Whether simulators memoize results at all (no env var; default on).
     memoize: Optional[bool] = None
     #: Shared on-disk memo directory; ``None`` defers to ``REPRO_SIM_MEMO_DIR``
@@ -139,7 +125,6 @@ class RuntimeConfig:
             replacement=env.get("REPRO_SIM_REPLACEMENT") or None,
             native=_native_flag(env.get("REPRO_SIM_NATIVE")),
             arena=_native_flag(env.get("REPRO_SIM_ARENA")),
-            runner_batch=_batch_flag(env.get("REPRO_RUNNER_BATCH")),
             memoize=True,
             memo_dir=env.get("REPRO_SIM_MEMO_DIR") or None,
             retry=RetryPolicy(
@@ -181,12 +166,6 @@ class RuntimeConfig:
             return self.arena
         return _native_flag(os.environ.get("REPRO_SIM_ARENA"))
 
-    def resolved_runner_batch(self) -> bool:
-        """The effective batched-measurement toggle (field, else env)."""
-        if self.runner_batch is not None:
-            return self.runner_batch
-        return _batch_flag(os.environ.get("REPRO_RUNNER_BATCH"))
-
     def resolved_memoize(self) -> bool:
         """The effective memoization toggle (default on; no env var)."""
         return True if self.memoize is None else self.memoize
@@ -214,7 +193,6 @@ class RuntimeConfig:
         """
         os.environ["REPRO_SIM_NATIVE"] = "1" if self.resolved_native() else "0"
         os.environ["REPRO_SIM_ARENA"] = "1" if self.resolved_arena() else "0"
-        os.environ["REPRO_RUNNER_BATCH"] = "1" if self.resolved_runner_batch() else "0"
         if self.memo_dir is not None:
             os.environ["REPRO_SIM_MEMO_DIR"] = str(self.memo_dir)
 
@@ -237,7 +215,6 @@ class RuntimeConfig:
             "replacement": self.resolved_replacement() or "per-level default",
             "native": "on" if self.resolved_native() else "off",
             "arena": "on" if self.resolved_arena() else "off",
-            "runner_batch": "on" if self.resolved_runner_batch() else "off",
             "memo_dir": self.resolved_memo_dir(),
             "retry": repr(self.resolved_retry()),
         }

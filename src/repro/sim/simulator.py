@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.codegen.program import DescriptorChunk, Program, pack_descriptor_arena
 from repro.reliability import (
@@ -96,11 +96,10 @@ class SimulationResult:
 class SimulationFailure:
     """Structured record of one candidate that could not be simulated.
 
-    Returned (never raised) by :meth:`SimulatorPool.run_many_resilient` in
+    Returned (never raised) by :meth:`SimulatorPool.iter_batch_resilient` in
     place of a :class:`SimulationResult`, so one bad candidate cannot poison
     the rest of a batch.  ``kind`` is one of the class constants below;
-    ``attempts`` counts every execution attempt including retries and pool
-    respawns.
+    ``attempts`` counts every execution attempt including retries.
     """
 
     #: The candidate exceeded its simulation deadline (``timeout_s``).
@@ -115,6 +114,25 @@ class SimulationFailure:
     error: str
     attempts: int = 1
     host_seconds: float = 0.0
+
+
+#: Union returned by the resilient APIs: one entry per program, in input
+#: order, each either a result or a structured failure record.
+ResilientOutcome = Union[SimulationResult, SimulationFailure]
+
+
+def _unwrap_outcomes(outcomes: Iterable[ResilientOutcome]) -> List[SimulationResult]:
+    """Results in input order; the first failure raises ``RuntimeError``
+    carrying the program name, failure kind and message."""
+    results: List[SimulationResult] = []
+    for outcome in outcomes:
+        if isinstance(outcome, SimulationFailure):
+            raise RuntimeError(
+                f"simulation of {outcome.program_name!r} failed "
+                f"({outcome.kind}): {outcome.error}"
+            )
+        results.append(outcome)
+    return results
 
 
 class Simulator:
@@ -302,7 +320,7 @@ class BatchSimulator(Simulator):
     lowering and sweep phases, failures are contained per candidate — a
     crash or deadline inside a wave never poisons its neighbours — and
     crashed or erroring candidates are re-attempted in isolation under the
-    same retry accounting as the serial resilient path.
+    same retry accounting as per-candidate :func:`_attempt_program`.
 
     Results stream back in input order as candidates complete
     (:meth:`iter_batch`), so a tuner's ``update()`` or a dataset builder
@@ -340,17 +358,9 @@ class BatchSimulator(Simulator):
         candidate that cannot be simulated raises ``RuntimeError`` carrying
         the contained failure's kind and message.
         """
-        results: List[SimulationResult] = []
-        for outcome in self.iter_batch(
-            programs, timeout_s=timeout_s, retry=RetryPolicy()
-        ):
-            if isinstance(outcome, SimulationFailure):
-                raise RuntimeError(
-                    f"batched simulation of {outcome.program_name!r} failed "
-                    f"({outcome.kind}): {outcome.error}"
-                )
-            results.append(outcome)
-        return results
+        return _unwrap_outcomes(
+            self.iter_batch(programs, timeout_s=timeout_s, retry=RetryPolicy())
+        )
 
     def iter_batch(
         self,
@@ -361,10 +371,10 @@ class BatchSimulator(Simulator):
         """Stream one outcome per program, in input order, as they complete.
 
         Failures become :class:`SimulationFailure` records, never raises —
-        the batched equivalent of per-candidate
-        :func:`_attempt_program` containment.  Expanded-trace runs have no
-        packable descriptor form; they keep per-candidate trace walks and
-        still benefit from hierarchy reuse.
+        outcomes match per-candidate :func:`_attempt_program` containment.
+        Expanded-trace runs have no packable descriptor form; they go
+        through :func:`_attempt_program` itself and still benefit from
+        hierarchy reuse.
         """
         retry = retry if retry is not None else self.config.resolved_retry()
         timeout = float(timeout_s if timeout_s is not None else self.config.timeout_s or 0.0)
@@ -554,7 +564,7 @@ class BatchSimulator(Simulator):
         The batch pass was attempt 1; attempt numbering, backoff delays and
         the final ``attempts`` count match :func:`_attempt_program` on a
         deterministic failure, so batched retry accounting is
-        indistinguishable from the per-candidate path.  Timeouts stay
+        indistinguishable from the per-candidate oracle.  Timeouts stay
         final, crashes and errors are retried.
         """
         error = cand.error
@@ -593,7 +603,7 @@ class BatchSimulator(Simulator):
 
 
 #: Per-process disk-backed caches, keyed by directory: pool workers are
-#: reused across submitted programs, so the in-memory LRU layer stays warm
+#: reused across submitted slices, so the in-memory LRU layer stays warm
 #: instead of being rebuilt (and re-reading disk) for every task.
 _WORKER_CACHES: Dict[str, SimulationCache] = {}
 
@@ -605,32 +615,6 @@ def _worker_cache(memo_dir: str) -> SimulationCache:
     return cache
 
 
-def _run_single(
-    arch, hierarchy_config, trace_options, program, config, memo_dir=None
-) -> SimulationResult:
-    memo_cache = None
-    if config.resolved_memoize() and memo_dir is not None:
-        # Worker processes memoize through a shared on-disk layer: results
-        # computed by any worker (or an earlier run) are served to all.
-        memo_cache = _worker_cache(memo_dir)
-    simulator = Simulator(
-        arch, hierarchy_config, trace_options, memo_cache=memo_cache, config=config
-    )
-    return simulator.run(program)
-
-
-def _run_slice(
-    arch, hierarchy_config, trace_options, programs, config
-) -> List[SimulationResult]:
-    simulator = Simulator(arch, hierarchy_config, trace_options, config=config)
-    return [simulator.run(program) for program in programs]
-
-
-#: Union returned by the resilient pool API: one entry per program, in input
-#: order, each either a result or a structured failure record.
-ResilientOutcome = Union[SimulationResult, SimulationFailure]
-
-
 def _attempt_program(
     simulator: Simulator,
     program: Program,
@@ -639,9 +623,9 @@ def _attempt_program(
 ) -> ResilientOutcome:
     """Run one program with containment: failures become records, not raises.
 
-    Timeouts are final (retrying a deterministic overrun just doubles the
-    damage); crashes and ordinary errors are retried per ``retry`` with
-    deterministic backoff.
+    The per-candidate oracle of the resilient APIs.  Timeouts are final
+    (retrying a deterministic overrun just doubles the damage); crashes and
+    ordinary errors are retried per ``retry`` with deterministic backoff.
     """
     start = time.perf_counter()
     attempt = 0
@@ -675,26 +659,19 @@ def _attempt_program(
             time.sleep(retry.delay_s(attempt, key=program.name))
 
 
-def _run_slice_resilient(
-    arch, hierarchy_config, trace_options, programs, config, timeout_s, retry
-) -> List[ResilientOutcome]:
-    simulator = Simulator(arch, hierarchy_config, trace_options, config=config)
-    return [_attempt_program(simulator, program, timeout_s, retry) for program in programs]
-
-
-def _run_batch_slice_resilient(
+def _run_batch_slice(
     arch, hierarchy_config, trace_options, programs, config, memo_dir,
     timeout_s, retry
 ) -> List[ResilientOutcome]:
-    """Worker entry for one batch slice: a shared-hierarchy batch simulator.
+    """Worker entry for one pool slice: a shared-hierarchy batch simulator.
 
     Used by both the threads backend (``memo_dir=None`` — the process-wide
     cache is shared directly) and the processes backend (workers memoize
-    through the shared on-disk layer).  Containment happens inside
-    :meth:`BatchSimulator.iter_batch`, so the returned list always has one
-    entry per program; only a hard worker death surfaces to the parent.
+    through the shared on-disk layer).  Containment happens per candidate
+    inside :meth:`BatchSimulator.iter_batch`, so the returned list always
+    has one entry per program; only a hard worker death surfaces to the
+    parent.
     """
-    faults.maybe_crash_worker()
     memo_cache = None
     if config.resolved_memoize() and memo_dir is not None:
         memo_cache = _worker_cache(memo_dir)
@@ -702,42 +679,6 @@ def _run_batch_slice_resilient(
         arch, hierarchy_config, trace_options, memo_cache=memo_cache, config=config
     )
     return list(batch.iter_batch(programs, timeout_s=timeout_s, retry=retry))
-
-
-def _run_single_resilient(
-    arch, hierarchy_config, trace_options, program, config, memo_dir, timeout_s
-) -> ResilientOutcome:
-    """Process-pool worker entry: converts in-worker failures into records.
-
-    Deadline overruns and ordinary exceptions come back as picklable
-    :class:`SimulationFailure` values so the parent never has to unpickle an
-    arbitrary exception; only a genuine worker death (or the injected
-    ``worker_crash`` hard exit below) surfaces as ``BrokenProcessPool``.
-    """
-    faults.maybe_crash_worker()
-    start = time.perf_counter()
-    try:
-        memo_cache = None
-        if config.resolved_memoize() and memo_dir is not None:
-            memo_cache = _worker_cache(memo_dir)
-        simulator = Simulator(
-            arch, hierarchy_config, trace_options, memo_cache=memo_cache, config=config
-        )
-        return simulator.run(program, timeout_s=timeout_s if timeout_s > 0 else None)
-    except DeadlineExceeded as error:
-        return SimulationFailure(
-            program_name=program.name,
-            kind=SimulationFailure.TIMEOUT,
-            error=str(error),
-            host_seconds=time.perf_counter() - start,
-        )
-    except Exception as error:  # noqa: BLE001 — containment boundary
-        return SimulationFailure(
-            program_name=program.name,
-            kind=SimulationFailure.ERROR,
-            error=f"{type(error).__name__}: {error}",
-            host_seconds=time.perf_counter() - start,
-        )
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -756,20 +697,20 @@ class SimulatorPool:
 
     The paper's simulator interface exposes exactly this knob: each schedule
     implementation runs in its own simulator instance, and ``n_parallel``
-    instances run concurrently on the host.  Three backends are available:
+    instances run concurrently on the host.  Every backend executes on the
+    candidate-batch core (:class:`BatchSimulator`), one batch simulator per
+    contiguous slice of the program list:
 
-    * ``"serial"`` — one simulator, programs back to back (the default).
-    * ``"threads"`` — ``n_parallel`` worker threads, each owning one
-      simulator and a contiguous chunk of the program list.  The vectorized
-      engine spends its time inside NumPy kernels that release the
-      interpreter lock, so threads deliver parallelism without the
-      process-spawn and pickling overhead of ``"processes"``.  All workers
-      share the process-wide memoization cache.
-    * ``"processes"`` — one OS process per concurrent simulation.  Workers
-      share the memoization cache through an on-disk layer (``memo_dir``,
-      defaulting to :func:`repro.sim.memo.shared_disk_cache_dir`), so a
-      result computed by any worker — or by a previous run — is served to
-      all of them.
+    * ``"serial"`` — one batch simulator, programs back to back (the default).
+    * ``"threads"`` — ``n_parallel`` worker threads, each owning one slice.
+      The engines spend their time inside NumPy and compiled kernels that
+      release the interpreter lock, so threads deliver parallelism without
+      the process-spawn and pickling overhead of ``"processes"``.  All
+      workers share the process-wide memoization cache.
+    * ``"processes"`` — one OS process per slice.  Workers share the
+      memoization cache through an on-disk layer (``memo_dir``, defaulting
+      to :func:`repro.sim.memo.shared_disk_cache_dir`), so a result computed
+      by any worker — or by a previous run — is served to all of them.
     """
 
     arch: str
@@ -782,12 +723,12 @@ class SimulatorPool:
     #: Shared disk cache directory for the ``processes`` backend; ``None``
     #: selects the per-user default.
     memo_dir: Optional[str] = None
-    #: Per-candidate simulation budget in seconds for the resilient API
-    #: (0 = unlimited).  Enforced cooperatively inside the trace walk, with a
-    #: process-kill backstop on the ``processes`` backend.
+    #: Per-candidate simulation budget in seconds (0 = unlimited).  Enforced
+    #: cooperatively inside lowering and the trace sweep, with a pool-kill
+    #: backstop on the ``processes`` backend.
     timeout_s: float = 0.0
-    #: Retry policy for crashed or erroring candidates in the resilient API;
-    #: ``None`` reads ``REPRO_RETRY_*`` (retries disabled by default).
+    #: Retry policy for crashed or erroring candidates; ``None`` reads
+    #: ``REPRO_RETRY_*`` (retries disabled by default).
     retry: Optional[RetryPolicy] = None
     #: How many times a broken process pool is respawned before the
     #: remaining work degrades to the ``threads`` backend.
@@ -812,41 +753,13 @@ class SimulatorPool:
         )
 
     def run_many(self, programs: Sequence[Program]) -> List[SimulationResult]:
-        """Simulate all ``programs`` and return results in input order."""
-        if self.backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown pool backend {self.backend!r}; expected one of {self.BACKENDS}"
-            )
-        cfg = self._runtime()
-        memo_dir = None
-        if self.backend == "processes" and cfg.resolved_memoize():
-            memo_dir = cfg.resolved_memo_dir()
-        if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
-            memo_cache = _worker_cache(memo_dir) if memo_dir else None
-            simulator = Simulator(
-                self.arch,
-                self.hierarchy_config,
-                self.trace_options,
-                memo_cache=memo_cache,
-                config=cfg,
-            )
-            return [simulator.run(program) for program in programs]
-        if self.backend == "threads":
-            return self._run_threaded(programs)
-        with ProcessPoolExecutor(max_workers=self.n_parallel) as pool:
-            futures = [
-                pool.submit(
-                    _run_single,
-                    self.arch,
-                    self.hierarchy_config,
-                    self.trace_options,
-                    program,
-                    cfg,
-                    memo_dir,
-                )
-                for program in programs
-            ]
-            return [future.result() for future in futures]
+        """Simulate all ``programs`` and return results in input order.
+
+        The strict form of :meth:`iter_batch_resilient`: the first candidate
+        that still fails after the pool's retries raises ``RuntimeError``
+        naming the program and the failure kind.
+        """
+        return _unwrap_outcomes(self.iter_batch_resilient(programs))
 
     def _contiguous_slices(self, programs: Sequence[Program]) -> List[Sequence[Program]]:
         """Split ``programs`` into up to ``n_parallel`` contiguous slices."""
@@ -860,251 +773,32 @@ class SimulatorPool:
             position += size
         return slices
 
-    def _run_threaded(self, programs: Sequence[Program]) -> List[SimulationResult]:
-        """Chunked thread dispatch: each worker runs one contiguous slice."""
-        slices = self._contiguous_slices(programs)
-        cfg = self._runtime()
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            futures = [
-                pool.submit(
-                    _run_slice,
-                    self.arch,
-                    self.hierarchy_config,
-                    self.trace_options,
-                    chunk,
-                    cfg,
-                )
-                for chunk in slices
-            ]
-            results: List[SimulationResult] = []
-            for future in futures:
-                results.extend(future.result())
-        return results
-
-    # -- resilient execution ----------------------------------------------
-
-    def run_many_resilient(self, programs: Sequence[Program]) -> List[ResilientOutcome]:
-        """Simulate all ``programs``; failures become records, never raises.
-
-        Same dispatch as :meth:`run_many`, plus four containment layers:
-
-        * each candidate runs under the pool's ``timeout_s`` deadline, so a
-          hung candidate yields a ``timeout`` failure instead of blocking;
-        * crashed or erroring candidates are retried per ``retry`` (with
-          deterministic exponential backoff), then recorded as failures;
-        * a broken process pool is respawned up to ``max_pool_respawns``
-          times and only the unfinished slice is re-run;
-        * when the respawn budget is spent, the remaining work degrades
-          ``processes`` → ``threads`` → ``serial`` with a
-          :class:`~repro.reliability.BackendDegradationWarning` at each step.
-
-        Returns one entry per program, in input order, each either a
-        :class:`SimulationResult` or a :class:`SimulationFailure`.
-        Fault-free runs produce statistics bit-identical to
-        :meth:`run_many`.
-        """
-        if self.backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown pool backend {self.backend!r}; expected one of {self.BACKENDS}"
-            )
-        cfg = self._runtime()
-        retry = cfg.resolved_retry()
-        timeout_s = float(cfg.timeout_s or 0.0)
-        memo_dir = None
-        if self.backend == "processes" and cfg.resolved_memoize():
-            memo_dir = cfg.resolved_memo_dir()
-        if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
-            return self._run_serial_resilient(programs, memo_dir, timeout_s, retry)
-        if self.backend == "threads":
-            return self._run_threads_resilient(programs, timeout_s, retry)
-        return self._run_processes_resilient(programs, memo_dir, timeout_s, retry)
-
-    def _run_serial_resilient(
-        self,
-        programs: Sequence[Program],
-        memo_dir: Optional[str],
-        timeout_s: float,
-        retry: RetryPolicy,
-    ) -> List[ResilientOutcome]:
-        memo_cache = _worker_cache(memo_dir) if memo_dir else None
-        simulator = Simulator(
-            self.arch,
-            self.hierarchy_config,
-            self.trace_options,
-            memo_cache=memo_cache,
-            config=self._runtime(),
-        )
-        return [_attempt_program(simulator, program, timeout_s, retry) for program in programs]
-
-    def _run_threads_resilient(
-        self, programs: Sequence[Program], timeout_s: float, retry: RetryPolicy
-    ) -> List[ResilientOutcome]:
-        """Chunked thread dispatch with per-program containment in each slice."""
-        slices = self._contiguous_slices(programs)
-        cfg = self._runtime()
-        results: List[ResilientOutcome] = []
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            futures = [
-                pool.submit(
-                    _run_slice_resilient,
-                    self.arch,
-                    self.hierarchy_config,
-                    self.trace_options,
-                    chunk,
-                    cfg,
-                    timeout_s,
-                    retry,
-                )
-                for chunk in slices
-            ]
-            for chunk, future in zip(slices, futures):
-                try:
-                    results.extend(future.result())
-                except Exception as error:  # noqa: BLE001 — degrade, not die
-                    warnings.warn(
-                        BackendDegradationWarning(
-                            "threads", "serial", f"{type(error).__name__}: {error}"
-                        ),
-                        stacklevel=2,
-                    )
-                    results.extend(
-                        self._run_serial_resilient(chunk, None, timeout_s, retry)
-                    )
-        return results
-
-    def _run_processes_resilient(
-        self,
-        programs: Sequence[Program],
-        memo_dir: Optional[str],
-        timeout_s: float,
-        retry: RetryPolicy,
-    ) -> List[ResilientOutcome]:
-        """Process dispatch with crash isolation and pool respawn.
-
-        Workers convert their own timeouts and exceptions into
-        :class:`SimulationFailure` records, so the parent only has to handle
-        two hard failure modes: a dead worker (``BrokenProcessPool`` — the
-        pool is respawned and the unfinished slice re-runs) and a hung
-        worker (parent-side result timeout backstop — the pool is killed and
-        the candidate recorded as a timeout).
-        """
-        n = len(programs)
-        results: List[Optional[ResilientOutcome]] = [None] * n
-        attempts = [0] * n
-        pending = list(range(n))
-        respawns = 0
-        # Workers enforce timeout_s cooperatively and come back on their own;
-        # the parent-side backstop only trips for a truly wedged worker.
-        backstop = timeout_s * 2.0 + 5.0 if timeout_s > 0 else None
-        cfg = self._runtime()
-        while pending:
-            pool = ProcessPoolExecutor(max_workers=min(self.n_parallel, len(pending)))
-            futures = {}
-            for i in pending:
-                attempts[i] += 1
-                futures[i] = pool.submit(
-                    _run_single_resilient,
-                    self.arch,
-                    self.hierarchy_config,
-                    self.trace_options,
-                    programs[i],
-                    cfg,
-                    memo_dir,
-                    timeout_s,
-                )
-            broke = hung = False
-            for i, future in futures.items():
-                try:
-                    outcome = future.result(timeout=backstop)
-                except FuturesTimeoutError:
-                    results[i] = SimulationFailure(
-                        program_name=programs[i].name,
-                        kind=SimulationFailure.TIMEOUT,
-                        error=(
-                            f"worker did not return within {backstop:.3g}s "
-                            f"(budget {timeout_s:.3g}s plus grace); pool terminated"
-                        ),
-                        attempts=attempts[i],
-                        host_seconds=backstop or 0.0,
-                    )
-                    hung = True
-                    break
-                except BrokenProcessPool:
-                    broke = True
-                    break
-                except Exception as error:  # noqa: BLE001 — containment boundary
-                    outcome = SimulationFailure(
-                        program_name=programs[i].name,
-                        kind=SimulationFailure.ERROR,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                if isinstance(outcome, SimulationFailure):
-                    outcome.attempts = attempts[i]
-                    if (
-                        outcome.kind == SimulationFailure.ERROR
-                        and attempts[i] < retry.max_attempts
-                    ):
-                        time.sleep(retry.delay_s(attempts[i], key=programs[i].name))
-                        continue  # leave pending: resubmitted next round
-                results[i] = outcome
-            if broke or hung:
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-            if hung:
-                # Innocent bystanders were killed with the pool; refund the
-                # attempt so the backstop victim alone pays for the hang.
-                for i in pending:
-                    if results[i] is None:
-                        attempts[i] -= 1
-            if broke:
-                respawns += 1
-            pending = [i for i in pending if results[i] is None]
-            if broke and respawns > self.max_pool_respawns and pending:
-                warnings.warn(
-                    BackendDegradationWarning(
-                        "processes",
-                        "threads",
-                        f"process pool broke {respawns} times "
-                        f"(respawn budget {self.max_pool_respawns})",
-                    ),
-                    stacklevel=3,
-                )
-                remaining = [programs[i] for i in pending]
-                if self.n_parallel > 1 and len(remaining) > 1:
-                    fallback = self._run_threads_resilient(remaining, timeout_s, retry)
-                else:
-                    fallback = self._run_serial_resilient(remaining, None, timeout_s, retry)
-                for i, outcome in zip(pending, fallback):
-                    results[i] = outcome
-                pending = []
-        return [outcome for outcome in results if outcome is not None]
-
-    # -- batched execution (candidate-batch scheduler) ---------------------
-
-    def run_batch_resilient(self, programs: Sequence[Program]) -> List[ResilientOutcome]:
-        """Batched :meth:`run_many_resilient`: same outcomes, arena fast path.
-
-        Dispatches through :class:`BatchSimulator` so every worker reuses
-        one hierarchy and sweeps shared descriptor arenas instead of paying
-        per-candidate setup.  Outcomes (results, failure records, retry
-        accounting) are bit-identical to :meth:`run_many_resilient` for the
-        same inputs, ``sim.host_seconds`` excepted.
-        """
-        return list(self.iter_batch_resilient(programs))
-
     def iter_batch_resilient(
         self, programs: Sequence[Program]
     ) -> Iterator[ResilientOutcome]:
-        """Stream batched outcomes in input order as candidates complete.
+        """Stream one outcome per program, in input order; failures become records.
+
+        Each entry is a :class:`SimulationResult` or a
+        :class:`SimulationFailure`, with statistics bit-identical to
+        per-candidate :meth:`Simulator.run` (``sim.host_seconds`` excepted).
+        Four containment layers apply:
+
+        * each candidate runs under the pool's ``timeout_s`` deadline, so a
+          hung candidate yields a ``timeout`` failure instead of blocking;
+        * crashed or erroring candidates are retried in isolation per
+          ``retry`` (deterministic exponential backoff), then recorded as
+          failures — the same accounting as :func:`_attempt_program`;
+        * a broken or wedged process pool is terminated and respawned up to
+          ``max_pool_respawns`` times, re-running only unfinished slices;
+        * past the respawn budget the remaining slices degrade
+          ``processes`` → ``threads``, and a thread slice that dies outside
+          per-candidate containment re-runs serially, each step announced
+          by a :class:`~repro.reliability.BackendDegradationWarning`.
 
         The ``serial`` backend streams per candidate (wave-buffered); the
         ``threads`` backend streams slice by slice as workers finish; the
-        ``processes`` backend yields after its respawn loop settles.  A
-        broken worker pool respawns and re-runs only its unfinished slices,
-        degrading ``processes`` → ``threads`` → ``serial`` with a
-        :class:`~repro.reliability.BackendDegradationWarning`, exactly like
-        the per-candidate resilient path.
+        ``processes`` backend yields each slice once its respawn loop has
+        settled it.
         """
         if self.backend not in self.BACKENDS:
             raise ValueError(
@@ -1144,7 +838,7 @@ class SimulatorPool:
         with ThreadPoolExecutor(max_workers=len(slices)) as pool:
             futures = [
                 pool.submit(
-                    _run_batch_slice_resilient,
+                    _run_batch_slice,
                     self.arch,
                     self.hierarchy_config,
                     self.trace_options,
@@ -1166,7 +860,7 @@ class SimulatorPool:
                         ),
                         stacklevel=2,
                     )
-                    outcomes = _run_batch_slice_resilient(
+                    outcomes = _run_batch_slice(
                         self.arch,
                         self.hierarchy_config,
                         self.trace_options,
@@ -1205,7 +899,7 @@ class SimulatorPool:
             futures = {}
             for s in pending:
                 futures[s] = pool.submit(
-                    _run_batch_slice_resilient,
+                    _run_batch_slice,
                     self.arch,
                     self.hierarchy_config,
                     self.trace_options,

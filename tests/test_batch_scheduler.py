@@ -5,8 +5,11 @@ rides on): *statistics are chunking-invariant*.  Packing many candidates'
 descriptor chunks into shared arenas, sweeping them on one reused hierarchy
 and fanning deduplicated results back out must be bit-identical — same
 statistics, same error mapping, same retry accounting, same tuner
-trajectory — to simulating every candidate alone.  ``sim.host_seconds`` is
-the single wall-clock observable excluded from the comparison.
+trajectory — to simulating every candidate alone.  The per-candidate side
+of every comparison is the oracle: one cold ``Simulator.run`` (or
+``_attempt_program`` for failure accounting) per candidate, in input order.
+``sim.host_seconds`` is the single wall-clock observable excluded from the
+comparison.
 """
 
 from __future__ import annotations
@@ -26,14 +29,21 @@ from repro.autotune import (
     SimulatorRunner,
     create_task,
 )
-from repro.autotune.measure import BuildResult, MeasureErrorNo
+from repro.autotune.measure import BuildResult, MeasureErrorNo, MeasureResult, Runner
 from repro.codegen import Target
 from repro.codegen.program import pack_descriptor_arena
 from repro.reliability import Deadline, DeadlineExceeded, RetryPolicy, deadline_scope
 from repro.reliability import faults
-from repro.sim import BatchSimulator, Simulator, SimulatorPool, TraceOptions, _native
+from repro.sim import (
+    BatchSimulator,
+    RuntimeConfig,
+    Simulator,
+    SimulatorPool,
+    TraceOptions,
+    _native,
+)
 from repro.sim.memo import SimulationCache
-from repro.sim.simulator import SimulationFailure, SimulationResult
+from repro.sim.simulator import SimulationFailure, SimulationResult, _attempt_program
 from repro.sim.stats import SimulationStats
 
 TRACE = TraceOptions(max_accesses=15_000)
@@ -242,7 +252,8 @@ class TestBatchFailureIsolation:
         mixed = [programs[0], _BrokenProgram(), programs[1]]
         batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
         outcomes = list(batch.iter_batch(mixed, retry=RetryPolicy()))
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in (programs[0], programs[1])]
+        simulator = Simulator("arm", trace_options=TRACE, memoize=False)
+        serial = [simulator.run(p) for p in (programs[0], programs[1])]
         assert flat(outcomes[0]) == flat(serial[0])
         assert flat(outcomes[2]) == flat(serial[1])
         failure = outcomes[1]
@@ -251,13 +262,20 @@ class TestBatchFailureIsolation:
         assert failure.attempts == 1
         assert "synthetic lowering failure" in failure.error
 
-    def test_error_accounting_matches_per_candidate_path(self, programs):
+    @pytest.mark.parametrize(
+        "backend,n_parallel", [("serial", 1), ("threads", 2), ("processes", 2)]
+    )
+    def test_error_accounting_matches_per_candidate_path(
+        self, programs, backend, n_parallel
+    ):
         retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
         mixed = [programs[0], _BrokenProgram(), programs[1]]
-        pool = SimulatorPool("arm", n_parallel=1, trace_options=TRACE, backend="serial",
-                             memoize=False, retry=retry)
-        per_candidate = pool.run_many_resilient(mixed)
+        oracle = Simulator("arm", trace_options=TRACE, config=RuntimeConfig(memoize=False))
+        per_candidate = [_attempt_program(oracle, p, 0.0, retry) for p in mixed]
+        pool = SimulatorPool("arm", n_parallel=n_parallel, trace_options=TRACE,
+                             backend=backend, memoize=False, retry=retry)
         batched = list(pool.iter_batch_resilient(mixed))
+        assert len(batched) == len(per_candidate)
         for b, s in zip(batched, per_candidate):
             assert type(b) is type(s)
             if isinstance(b, SimulationFailure):
@@ -265,9 +283,16 @@ class TestBatchFailureIsolation:
             else:
                 assert flat(b) == flat(s)
 
+    def test_run_many_raises_naming_program_and_kind(self, programs):
+        pool = SimulatorPool("arm", trace_options=TRACE, memoize=False)
+        with pytest.raises(RuntimeError, match=r"'broken' failed \(error\): .*synthetic"):
+            pool.run_many([programs[0], _BrokenProgram()])
+
     def test_timeout_is_final_and_isolated(self, programs):
         batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
-        outcomes = list(batch.iter_batch(programs, timeout_s=1e-9, retry=RetryPolicy(max_attempts=3)))
+        outcomes = list(
+            batch.iter_batch(programs, timeout_s=1e-9, retry=RetryPolicy(max_attempts=3))
+        )
         assert len(outcomes) == len(programs)
         for outcome in outcomes:
             assert isinstance(outcome, SimulationFailure)
@@ -310,6 +335,31 @@ def running_mean_score():
     return score
 
 
+class PerCandidateRunner(Runner):
+    """The oracle runner: one cold ``Simulator.run`` per candidate, scored
+    in input order, no deduplication."""
+
+    def __init__(self, score_function):
+        super().__init__(n_parallel=1)
+        self.simulator = Simulator(
+            "arm", trace_options=TRACE, config=RuntimeConfig(memoize=False)
+        )
+        self.score_function = score_function
+
+    def run(self, measure_inputs, build_results):
+        results = []
+        for measure_input, build in zip(measure_inputs, build_results):
+            if not build.ok:
+                results.append(MeasureResult(
+                    costs=[], error_no=build.error_no, error_msg=build.error_msg
+                ))
+                continue
+            simulation = self.simulator.run(build.program)
+            score = float(self.score_function(simulation, measure_input))
+            results.append(MeasureResult(costs=[score], all_cost=simulation.host_seconds))
+        return results
+
+
 class TestRunnerBatchedEquivalence:
     def _inputs_with_duplicates(self, task):
         indices = (0, 1, 0, 2, 1, 0)
@@ -320,24 +370,19 @@ class TestRunnerBatchedEquivalence:
         builds = LocalBuilder().build(inputs)
         batched_runner = SimulatorRunner(
             "arm", trace_options=TRACE, score_function=running_mean_score(),
-            memoize=False, batch=True,
-        )
-        serial_runner = SimulatorRunner(
-            "arm", trace_options=TRACE, score_function=running_mean_score(),
-            memoize=False, batch=False,
+            memoize=False,
         )
         batched = batched_runner.run(inputs, builds)
-        serial = serial_runner.run(inputs, builds)
+        serial = PerCandidateRunner(running_mean_score()).run(inputs, builds)
         assert [r.costs for r in batched] == [r.costs for r in serial]
         assert [r.error_no for r in batched] == [r.error_no for r in serial]
         assert batched_runner.dedupe_lookups == len(inputs)
         assert batched_runner.dedupe_hits == 3
-        assert serial_runner.dedupe_hits == 0
 
     def test_duplicate_fan_out_is_independent_and_marked_cached(self, task):
         inputs = self._inputs_with_duplicates(task)
         builds = LocalBuilder().build(inputs)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False, batch=True)
+        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
         runner.run(inputs, builds)
         simulations = runner.simulation_results
         assert len(simulations) == len(inputs)
@@ -351,7 +396,7 @@ class TestRunnerBatchedEquivalence:
         builds = LocalBuilder().build(inputs)
         seen = []
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, batch=True,
+            "arm", trace_options=TRACE, memoize=False,
             on_result=lambda position, mi, result: seen.append(position),
         )
         results = runner.run(inputs, builds)
@@ -367,7 +412,7 @@ class TestRunnerBatchedEquivalence:
         )
         seen = []
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, batch=True,
+            "arm", trace_options=TRACE, memoize=False,
             on_result=lambda position, mi, result: seen.append(position),
         )
         results = runner.run(inputs, builds)
@@ -380,28 +425,25 @@ class TestRunnerBatchedEquivalence:
         inputs = self._inputs_with_duplicates(task)
         builds = LocalBuilder().build(inputs)
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, batch=True, timeout_s=1e-9,
+            "arm", trace_options=TRACE, memoize=False, timeout_s=1e-9,
         )
         results = runner.run(inputs, builds)
         assert [r.error_no for r in results] == [MeasureErrorNo.RUN_TIMEOUT] * len(inputs)
-
-    def test_batch_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_BATCH", "0")
-        assert SimulatorRunner("arm", trace_options=TRACE).batch is False
-        monkeypatch.setenv("REPRO_RUNNER_BATCH", "1")
-        assert SimulatorRunner("arm", trace_options=TRACE).batch is True
 
 
 class TestTunerTrajectory:
     @pytest.mark.parametrize("tuner_cls", [RandomTuner, GATuner])
     def test_fixed_seed_trajectory_is_identical(self, task, tuner_cls):
         trajectories = []
-        for batch in (True, False):
-            tuner = tuner_cls(task, seed=3)
-            runner = SimulatorRunner(
+        runners = (
+            SimulatorRunner(
                 "arm", trace_options=TRACE, score_function=running_mean_score(),
-                memoize=False, batch=batch,
-            )
+                memoize=False,
+            ),
+            PerCandidateRunner(running_mean_score()),
+        )
+        for runner in runners:
+            tuner = tuner_cls(task, seed=3)
             tuner.tune(n_trial=24, runner=runner, builder=LocalBuilder(), batch_size=8)
             trajectories.append(
                 (sorted(tuner.visited), tuner.best_cost, tuner.best_config.index,

@@ -6,7 +6,7 @@ paths: :class:`~repro.service.ResultStore` CRUD/eviction/migration, the
 reproduce the legacy per-variable semantics exactly), the deprecation shim on
 ``Simulator``'s per-toggle kwargs, the ``repro.simulate`` facade, and the HTTP
 service itself — request coalescing on duplicate digests, auth/quota
-enforcement, worker-crash containment parity with ``run_many_resilient``, and
+enforcement, worker-crash containment parity with ``iter_batch_resilient``, and
 client-vs-local bit-identity (``sim.host_seconds``, a wall-clock observable,
 is excluded from every comparison, as everywhere else in the suite).
 """
@@ -25,7 +25,6 @@ import pytest
 import repro
 import repro.workloads  # noqa: F401 — registers the schedule templates
 from repro.autotune import LocalBuilder, MeasureInput, create_task
-from repro.autotune.runner import batched_measurement_default
 from repro.codegen import Target
 from repro.reliability import RetryPolicy, faults
 from repro.service import (
@@ -58,7 +57,6 @@ ALL_ENV_VARS = (
     "REPRO_SIM_TRACE",
     "REPRO_SIM_NATIVE",
     "REPRO_SIM_ARENA",
-    "REPRO_RUNNER_BATCH",
     "REPRO_SIM_MEMO_DIR",
     "REPRO_RETRY_ATTEMPTS",
     "REPRO_RETRY_BASE_DELAY_S",
@@ -262,7 +260,6 @@ ENV_CASES = [
     {"REPRO_SIM_ENGINE": "reference"},
     {"REPRO_SIM_TRACE": "expanded"},
     {"REPRO_SIM_NATIVE": "0", "REPRO_SIM_ARENA": "0"},
-    {"REPRO_RUNNER_BATCH": "off"},
     {
         "REPRO_RETRY_ATTEMPTS": "3",
         "REPRO_RETRY_BASE_DELAY_S": "0.01",
@@ -287,7 +284,6 @@ class TestRuntimeConfig:
         assert config.resolved_trace(engine) == resolve_trace_mode(None, engine)
         assert config.resolved_native() == (env.get("REPRO_SIM_NATIVE") != "0")
         assert config.resolved_arena() == (env.get("REPRO_SIM_ARENA") != "0")
-        assert config.resolved_runner_batch() == batched_measurement_default()
         assert config.resolved_retry() == RetryPolicy.from_env()
         assert config.resolved_memo_dir() == str(shared_disk_cache_dir())
         assert config.resolved_memoize() is True
@@ -302,18 +298,19 @@ class TestRuntimeConfig:
 
     def test_from_env_pins_against_later_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        monkeypatch.setenv("REPRO_RUNNER_BATCH", "off")
+        monkeypatch.setenv("REPRO_SIM_ARENA", "0")
         config = RuntimeConfig.from_env()
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        monkeypatch.delenv("REPRO_RUNNER_BATCH")
+        monkeypatch.delenv("REPRO_SIM_ARENA")
         assert config.resolved_engine() == "reference"
-        assert config.resolved_runner_batch() is False
+        assert config.resolved_arena() is False
 
     def test_explicit_fields_override_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        config = RuntimeConfig(engine="reference", runner_batch=False)
+        monkeypatch.setenv("REPRO_SIM_ARENA", "1")
+        config = RuntimeConfig(engine="reference", arena=False)
         assert config.resolved_engine() == "reference"
-        assert config.resolved_runner_batch() is False
+        assert config.resolved_arena() is False
 
     def test_with_overrides_rejects_unknown_fields(self):
         config = RuntimeConfig()
@@ -337,14 +334,13 @@ class TestRuntimeConfig:
         assert all(len(row) == 3 and all(row) for row in rows)
 
     def test_apply_process_toggles(self, monkeypatch):
-        for name in ("REPRO_SIM_NATIVE", "REPRO_SIM_ARENA", "REPRO_RUNNER_BATCH"):
+        for name in ("REPRO_SIM_NATIVE", "REPRO_SIM_ARENA"):
             monkeypatch.delenv(name, raising=False)
         import os
 
-        RuntimeConfig(native=False, arena=True, runner_batch=False).apply_process_toggles()
+        RuntimeConfig(native=False, arena=True).apply_process_toggles()
         assert os.environ["REPRO_SIM_NATIVE"] == "0"
         assert os.environ["REPRO_SIM_ARENA"] == "1"
-        assert os.environ["REPRO_RUNNER_BATCH"] == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +583,7 @@ class TestServiceHTTP:
             # Parity with the local resilient API under the same profile.
             faults.configure("worker_crash:n=1", seed=7)
             pool = SimulatorPool("arm", memoize=False, retry=RetryPolicy(max_attempts=1))
-            local = pool.run_many_resilient([big_programs[1]])[0]
+            local = list(pool.iter_batch_resilient([big_programs[1]]))[0]
             assert isinstance(local, SimulationFailure)
             assert failure.kind == local.kind
             assert failure.attempts == local.attempts
