@@ -6,33 +6,70 @@ regularisation, mirroring XGBoost's objective.  The hyper-parameters exposed
 are the ones the paper tunes by grid search: learning rate, maximum depth,
 number of trees, row/column subsampling, ``alpha``/``lambda`` regularisation
 and the minimum child weight.
+
+The split search is exact and greedy, like XGBoost's ``exact`` tree method,
+and runs as whole-array NumPy passes: each node sorts its rows x sampled
+columns matrix once and scores every cut of every column together.  Trees
+are stored as flat node arrays, and prediction walks all trees at once, one
+gather step per tree level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
 @dataclass
-class _TreeNode:
-    """A node of one regression tree."""
+class _Trees:
+    """One or more regression trees stored as flat node arrays.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_TreeNode"] = None
-    right: Optional["_TreeNode"] = None
-    value: float = 0.0
+    Each tree's nodes are in preorder, and trees are stored back to back;
+    ``roots`` holds the index of each tree's root.  A row at inner node ``i``
+    moves to ``left[i]`` if its ``feature[i]`` value is ``<= threshold[i]``
+    and to ``right[i]`` otherwise (NaN included).  A leaf has ``feature`` -1
+    and ``left == right == i``, so a walk that reaches it stays there.
+    ``value`` is the node's leaf weight, also kept for inner nodes, and
+    ``depth`` the depth of the deepest node: the steps a walk needs.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def concatenate(cls, trees: Sequence["_Trees"]) -> "_Trees":
+        """All ``trees`` in one set of node arrays, in the order given."""
+        offsets = np.cumsum([0] + [tree.value.size for tree in trees[:-1]])
+        return cls(
+            feature=np.concatenate([tree.feature for tree in trees]),
+            threshold=np.concatenate([tree.threshold for tree in trees]),
+            left=np.concatenate([tree.left + offset for tree, offset in zip(trees, offsets)]),
+            right=np.concatenate([tree.right + offset for tree, offset in zip(trees, offsets)]),
+            value=np.concatenate([tree.value for tree in trees]),
+            roots=np.concatenate([tree.roots + offset for tree, offset in zip(trees, offsets)]),
+            depth=max(tree.depth for tree in trees),
+        )
+
+    def leaf_values(self, features: np.ndarray) -> np.ndarray:
+        """The leaf weight each tree gives each row, shape ``(trees, rows)``."""
+        rows = np.arange(features.shape[0])
+        nodes = np.broadcast_to(self.roots[:, None], (self.roots.size, rows.size))
+        for _ in range(self.depth):
+            # At a leaf, feature -1 reads the last column; either way the row stays put.
+            goes_left = features[rows, self.feature[nodes]] <= self.threshold[nodes]
+            nodes = np.where(goes_left, self.left[nodes], self.right[nodes])
+        return self.value[nodes]
 
 
-class _RegressionTree:
-    """A single depth-limited regression tree on gradient statistics."""
+class _TreeGrower:
+    """Grows one depth-limited regression tree on gradient statistics."""
 
     def __init__(
         self,
@@ -47,7 +84,6 @@ class _RegressionTree:
         self.reg_lambda = reg_lambda
         self.reg_alpha = reg_alpha
         self.gamma = gamma
-        self.root: Optional[_TreeNode] = None
 
     # -- XGBoost leaf weight / gain ----------------------------------------
     def _leaf_weight(self, grad_sum: float, hess_sum: float) -> float:
@@ -74,96 +110,125 @@ class _RegressionTree:
         return -(grad_sums * weights + 0.5 * (hess_sums + self.reg_lambda) * weights**2)
 
     # -- construction -----------------------------------------------------------
-    def fit(
+    def grow(
         self,
         features: np.ndarray,
         gradients: np.ndarray,
         hessians: np.ndarray,
         feature_indices: np.ndarray,
-    ) -> "_RegressionTree":
-        self.root = self._build(features, gradients, hessians, feature_indices, depth=0)
-        return self
+    ) -> _Trees:
+        """Grow a tree on these rows that splits only on ``feature_indices``."""
+        nodes: List[list] = []
+        self._grow(features[:, feature_indices], feature_indices, gradients, hessians, 0, nodes)
+        feature, threshold, left, right, value, depth = zip(*nodes)
+        return _Trees(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array(value, dtype=float),
+            roots=np.zeros(1, dtype=np.intp),
+            depth=max(depth),
+        )
 
-    def _build(
+    def _grow(
         self,
-        features: np.ndarray,
+        columns: np.ndarray,
+        feature_indices: np.ndarray,
         gradients: np.ndarray,
         hessians: np.ndarray,
-        feature_indices: np.ndarray,
         depth: int,
-    ) -> _TreeNode:
+        nodes: List[list],
+    ) -> int:
+        """Append the subtree on these rows to ``nodes`` in preorder; return its root."""
+        index = len(nodes)
         grad_sum = float(gradients.sum())
         hess_sum = float(hessians.sum())
-        node = _TreeNode(value=self._leaf_weight(grad_sum, hess_sum))
-        if depth >= self.max_depth or features.shape[0] < 2 or hess_sum < 2 * self.min_child_weight:
-            return node
+        node = [-1, 0.0, index, index, self._leaf_weight(grad_sum, hess_sum), depth]
+        nodes.append(node)
+        if depth >= self.max_depth or columns.shape[0] < 2 or hess_sum < 2 * self.min_child_weight:
+            return index
+        split = self._best_split(columns, gradients, hessians, grad_sum, hess_sum)
+        if split is None:
+            return index
 
-        parent_score = self._score(grad_sum, hess_sum)
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-
-        for feature in feature_indices:
-            column = features[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_values = column[order]
-            grad_cumulative = np.cumsum(gradients[order])[:-1]
-            hess_cumulative = np.cumsum(hessians[order])[:-1]
-            right_grad = grad_sum - grad_cumulative
-            right_hess = hess_sum - hess_cumulative
-            valid = (
-                (np.diff(sorted_values) > 1e-12)
-                & (hess_cumulative >= self.min_child_weight)
-                & (right_hess >= self.min_child_weight)
-            )
-            if not valid.any():
-                continue
-            gains = (
-                self._score_vector(grad_cumulative, hess_cumulative)
-                + self._score_vector(right_grad, right_hess)
-                - parent_score
-                - self.gamma
-            )
-            gains = np.where(valid, gains, -np.inf)
-            position = int(np.argmax(gains))
-            if gains[position] > best_gain:
-                best_gain = float(gains[position])
-                best_feature = int(feature)
-                best_threshold = float(
-                    0.5 * (sorted_values[position] + sorted_values[position + 1])
-                )
-
-        if best_feature < 0:
-            return node
-
-        mask = features[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._build(
-            features[mask], gradients[mask], hessians[mask], feature_indices, depth + 1
+        column, threshold = split
+        # Boolean masks keep the parent's row order, which the children's
+        # (pairwise) gradient sums depend on.
+        goes_left = columns[:, column] <= threshold
+        goes_right = ~goes_left
+        node[0] = int(feature_indices[column])
+        node[1] = threshold
+        node[2] = self._grow(
+            columns[goes_left],
+            feature_indices,
+            gradients[goes_left],
+            hessians[goes_left],
+            depth + 1,
+            nodes,
         )
-        node.right = self._build(
-            features[~mask], gradients[~mask], hessians[~mask], feature_indices, depth + 1
+        node[3] = self._grow(
+            columns[goes_right],
+            feature_indices,
+            gradients[goes_right],
+            hessians[goes_right],
+            depth + 1,
+            nodes,
         )
-        return node
+        return index
 
-    # -- inference ------------------------------------------------------------------
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.root is None:
-            raise RuntimeError("the tree has not been fitted")
-        output = np.zeros(features.shape[0])
-        self._predict_into(self.root, features, np.arange(features.shape[0]), output)
-        return output
+    def _best_split(
+        self,
+        columns: np.ndarray,
+        gradients: np.ndarray,
+        hessians: np.ndarray,
+        grad_sum: float,
+        hess_sum: float,
+    ) -> Optional[Tuple[int, float]]:
+        """The node's best split as ``(column, threshold)``, or ``None``.
 
-    def _predict_into(
-        self, node: _TreeNode, features: np.ndarray, rows: np.ndarray, output: np.ndarray
-    ) -> None:
-        if node.is_leaf or rows.size == 0:
-            output[rows] = node.value
-            return
-        mask = features[rows, node.feature] <= node.threshold
-        self._predict_into(node.left, features, rows[mask], output)
-        self._predict_into(node.right, features, rows[~mask], output)
+        Every column is searched in one pass: a stable sort of each column,
+        prefix sums of the statistics in that order, and the gain of cutting
+        after each sorted position.  The pick is the one a scan over the
+        columns that keeps only a strictly larger gain makes: the first
+        column that reaches the largest gain, at its first position, and
+        only if that gain is positive.
+        """
+        order = np.argsort(columns, axis=0, kind="stable")
+        column_ids = np.arange(columns.shape[1])
+        sorted_values = columns[order, column_ids]
+        grad_left = np.cumsum(gradients[order], axis=0)[:-1]
+        hess_left = np.cumsum(hessians[order], axis=0)[:-1]
+        grad_right = grad_sum - grad_left
+        hess_right = hess_sum - hess_left
+        valid = (
+            (sorted_values[1:] - sorted_values[:-1] > 1e-12)
+            & (hess_left >= self.min_child_weight)
+            & (hess_right >= self.min_child_weight)
+        )
+        if not valid.any():
+            return None
+
+        gains = (
+            self._score_vector(grad_left, hess_left)
+            + self._score_vector(grad_right, hess_right)
+            - self._score(grad_sum, hess_sum)
+            - self.gamma
+        )
+        gains = np.where(valid, gains, -np.inf)
+        positions = gains.argmax(axis=0)
+        column_gains = gains[positions, column_ids]
+        # argmax stops at a NaN, and a NaN gain never compares larger, so
+        # such a column loses.
+        column_gains[np.isnan(column_gains)] = -np.inf
+        column = int(column_gains.argmax())
+        if not column_gains[column] > 0.0:
+            return None
+        position = positions[column]
+        threshold = float(
+            0.5 * (sorted_values[position, column] + sorted_values[position + 1, column])
+        )
+        return column, threshold
 
 
 class GradientBoostedTrees:
@@ -185,6 +250,8 @@ class GradientBoostedTrees:
     ):
         if loss != "mse":
             raise ValueError("gradient boosting is implemented for the mse loss")
+        if n_estimators < 1:
+            raise ValueError(f"n_estimators must be at least 1, got {n_estimators}")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -196,7 +263,7 @@ class GradientBoostedTrees:
         self.gamma = gamma
         self.loss = loss
         self.random_state = random_state
-        self._trees: List[_RegressionTree] = []
+        self._trees: Optional[_Trees] = None
         self._base_prediction = 0.0
         self.n_features_: int = 0
 
@@ -223,13 +290,20 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(self.random_state)
         n_samples, n_features = features.shape
         self.n_features_ = n_features
-        self._trees = []
+        self._trees = None
         self._base_prediction = float(targets.mean())
         predictions = np.full(n_samples, self._base_prediction)
 
         n_columns = max(1, int(round(self.colsample_bytree * n_features)))
         n_rows = max(2, int(round(self.subsample * n_samples)))
-
+        grower = _TreeGrower(
+            max_depth=self.max_depth,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            reg_alpha=self.reg_alpha,
+            gamma=self.gamma,
+        )
+        trees = []
         for _ in range(self.n_estimators):
             gradients = predictions - targets  # d/dpred of 0.5*(pred-y)^2
             hessians = np.ones(n_samples)
@@ -243,26 +317,27 @@ class GradientBoostedTrees:
                 if n_columns < n_features
                 else np.arange(n_features)
             )
-            tree = _RegressionTree(
-                max_depth=self.max_depth,
-                min_child_weight=self.min_child_weight,
-                reg_lambda=self.reg_lambda,
-                reg_alpha=self.reg_alpha,
-                gamma=self.gamma,
-            ).fit(features[rows], gradients[rows], hessians[rows], columns)
-            self._trees.append(tree)
-            predictions += self.learning_rate * tree.predict(features)
+            tree = grower.grow(features[rows], gradients[rows], hessians[rows], columns)
+            trees.append(tree)
+            predictions += self.learning_rate * tree.leaf_values(features)[0]
+        self._trees = _Trees.concatenate(trees)
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predict targets for ``features``."""
-        if not self._trees:
+        """Predict targets for ``features``, a 2-D array of the fitted width."""
+        if self._trees is None:
             raise RuntimeError("the model has not been fitted")
         features = np.asarray(features, dtype=float)
-        predictions = np.full(features.shape[0], self._base_prediction)
-        for tree in self._trees:
-            predictions += self.learning_rate * tree.predict(features)
-        return predictions
+        if features.ndim != 2 or features.shape[1] != self.n_features_:
+            raise ValueError(
+                f"the model was fitted on {self.n_features_} features; predict needs a 2-D "
+                f"array with {self.n_features_} columns, got shape {features.shape}"
+            )
+        terms = self.learning_rate * self._trees.leaf_values(features)
+        base = np.full((1, features.shape[0]), self._base_prediction)
+        # cumsum adds the trees one by one in order, exactly as fit did; a
+        # sum could pair the terms differently.
+        return np.cumsum(np.concatenate([base, terms]), axis=0)[-1].copy()
 
     def __repr__(self) -> str:
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ class TestDNN:
         features, targets = linear_data(n=80)
         a = DNNRegressor(hidden_layers=(16,), epochs=20, random_state=3).fit(features, targets)
         b = DNNRegressor(hidden_layers=(16,), epochs=20, random_state=3).fit(features, targets)
-        np.testing.assert_allclose(a.predict(features), b.predict(features))
+        np.testing.assert_array_equal(a.predict(features), b.predict(features))
 
     def test_mse_loss_variant(self):
         features, targets = linear_data(n=100)
@@ -202,7 +204,7 @@ class TestGradientBoostedTrees:
         features, targets = nonlinear_data(n=150)
         a = GradientBoostedTrees(n_estimators=40, random_state=7).fit(features, targets)
         b = GradientBoostedTrees(n_estimators=40, random_state=7).fit(features, targets)
-        np.testing.assert_allclose(a.predict(features), b.predict(features))
+        np.testing.assert_array_equal(a.predict(features), b.predict(features))
 
     def test_constant_targets_give_constant_predictions(self):
         features = np.random.default_rng(0).normal(size=(50, 3))
@@ -223,6 +225,19 @@ class TestGradientBoostedTrees:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             GradientBoostedTrees().predict(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(4, 7), (4, 3), (5,)])
+    def test_predict_rejects_input_of_another_width(self, shape):
+        features = np.random.default_rng(0).normal(size=(60, 5))
+        targets = features @ np.arange(1.0, 6.0)
+        model = GradientBoostedTrees(n_estimators=10, colsample_bytree=1.0).fit(features, targets)
+        with pytest.raises(ValueError, match=r"5 features.*got shape " + re.escape(str(shape))):
+            model.predict(np.zeros(shape))
+
+    @pytest.mark.parametrize("n_estimators", [0, -1])
+    def test_rejects_fewer_than_one_tree(self, n_estimators):
+        with pytest.raises(ValueError, match="n_estimators"):
+            GradientBoostedTrees(n_estimators=n_estimators)
 
 
 class TestGridSearch:
