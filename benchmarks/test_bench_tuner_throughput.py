@@ -142,8 +142,9 @@ def test_bench_tuner_throughput(results_dir):
     t_batched = _best_of(lambda: run_runner(ga_inputs, ga_builds))
     t_serial_unique = _best_of(lambda: run_per_candidate(unique_builds))
     t_batched_unique = _best_of(lambda: run_runner(unique_inputs, unique_builds))
+    unmemoized = RuntimeConfig(memoize=False)
     t_engine = _best_of(
-        lambda: BatchSimulator(ARCH, trace_options=trace, memoize=False).run_batch(
+        lambda: BatchSimulator(ARCH, trace_options=trace, config=unmemoized).run_batch(
             programs
         )
     )

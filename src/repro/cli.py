@@ -172,7 +172,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.check:
         print(format_table(
-            ["field", "environment variable", "resolved value"],
+            ["setting", "environment variable", "resolved value"],
             [list(row) for row in config.describe()],
             title="runtime configuration",
         ))
@@ -192,7 +192,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.import_memo_dir:
         imported = store.import_disk_cache(args.import_memo_dir)
         print(f"imported {imported} entries from {args.import_memo_dir}")
-    config.apply_process_toggles()
     trace_options = TraceOptions(max_accesses=args.trace) if args.trace else None
     service = SimulationService(
         args.arch, store, config=config, tenants=tenants, trace_options=trace_options,

@@ -54,15 +54,6 @@ class NativeKernelDemotionWarning(RuntimeWarning):
         self.reason = reason
 
 
-class MemoQuarantineWarning(RuntimeWarning):
-    """A corrupted disk-memo entry was quarantined and treated as a miss."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"quarantined corrupted simulation-memo entry {path}: {reason}")
-        self.path = path
-        self.reason = reason
-
-
 __all__ = [
     "BackendDegradationWarning",
     "CircuitBreaker",
@@ -72,7 +63,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "InjectedWorkerCrash",
-    "MemoQuarantineWarning",
     "NativeKernelDemotionWarning",
     "RetryPolicy",
     "current_deadline",

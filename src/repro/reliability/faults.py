@@ -2,8 +2,7 @@
 
 Production code is sprinkled with *injection sites* — named points where a
 fault can be provoked on demand: the simulator pool workers
-(``worker_crash``), the disk-memo read/write path (``memo_corrupt_read`` /
-``memo_corrupt_write``), the native kernel dispatch (``native_fault``), the
+(``worker_crash``), the native kernel dispatch (``native_fault``), the
 first-use library probe (``native_probe``), and the service layer — a
 dropped client connection (``service_conn_drop``), a failing result-store
 query (``store_io_error``), a dying service worker thread
@@ -13,7 +12,7 @@ costing one dictionary lookup, so the fault-free path is unchanged.
 
 A profile is a semicolon-separated list of clauses::
 
-    REPRO_FAULT_INJECT="worker_crash:p=0.2;memo_corrupt_read:p=0.2;native_fault:once;seed=42"
+    REPRO_FAULT_INJECT="worker_crash:p=0.2;native_fault:once;seed=42"
 
 Each clause names a site plus parameters: ``p=<float>`` fires with that
 probability per query (default 1.0), ``once`` fires on exactly the first
@@ -209,22 +208,3 @@ def maybe_crash_worker(site: str = "worker_crash") -> None:
     if multiprocessing.parent_process() is not None:
         os._exit(70)
     raise InjectedWorkerCrash(site, registry.queries.get(site, 1) - 1)
-
-
-def corrupt_text(site: str, text: str) -> str:
-    """Deterministically garble ``text`` when ``site`` fires.
-
-    Three corruption flavours rotate by fire ordinal: truncation (a torn
-    write), byte garbage (a bad sector) and a wrong-schema JSON object —
-    covering each branch of the memo validation path.
-    """
-    registry = active_registry()
-    if registry is None or not registry.should_inject(site):
-        return text
-    ordinal = registry.queries.get(site, 1) - 1
-    flavour = ordinal % 3
-    if flavour == 0:
-        return text[: max(len(text) // 2, 1)]
-    if flavour == 1:
-        return "\x00garbage\xff" + text[:8]
-    return '{"schema": -1, "stats": {}}'

@@ -2,8 +2,8 @@
 
 The serving layer on top of the simulation engine (the ROADMAP's
 "millions of users" direction): a SQLite-backed
-:class:`~repro.service.store.ResultStore` replacing the flat-file disk memo
-as the shared backend, an asyncio HTTP service
+:class:`~repro.service.store.ResultStore`, the one persistent memo tier,
+an asyncio HTTP service
 (:class:`~repro.service.server.ServiceServer`) with per-tenant API keys,
 quotas and in-flight request coalescing, a
 :class:`~repro.service.worker.SimulationWorker` pool draining misses through

@@ -1,11 +1,11 @@
-"""DB-backed shared result store: the memo layer's flat files grown a schema.
+"""DB-backed shared result store: the one persistent memoization tier.
 
 :class:`ResultStore` is the repo layer of the simulation service: one SQLite
 database (stdlib :mod:`sqlite3`, WAL mode) holding simulation statistics
-keyed on their ``sim_digest`` — the same content-addressed memoization key
-the flat-file disk layer in :mod:`repro.sim.memo` uses, so the two backends
-are interchangeable and mutually importable.  Rows are schema-versioned
-twice over: by the store's own table layout
+keyed on their ``sim_digest`` — the content-addressed memoization key of
+:mod:`repro.sim.memo`.  Flat-file memo directories written by older
+releases migrate in once through :meth:`ResultStore.import_disk_cache`.
+Rows are schema-versioned twice over: by the store's own table layout
 (:data:`SERVICE_SCHEMA_VERSION`) and by the memo semantic version
 (:data:`~repro.sim.memo.CACHE_SCHEMA_VERSION`, which changes whenever
 simulation *results* change).  A mismatch on either drops and recreates the
@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.reliability import faults
-from repro.sim.memo import CACHE_SCHEMA_VERSION, _decode_entry
+from repro.sim.memo import CACHE_SCHEMA_VERSION
 
 #: Version of the store's own table layout.  Bump on *incompatible* layout
 #: changes; the memo :data:`CACHE_SCHEMA_VERSION` is tracked separately in
@@ -68,6 +68,27 @@ class JournalJob:
 
 def _canonical(flat: Dict[str, float]) -> str:
     return json.dumps(flat, sort_keys=True, separators=(",", ":"))
+
+
+def _decode_memo_entry(text: str) -> Optional[Dict[str, float]]:
+    """Parse one flat-file memo envelope; ``None`` unless it is importable.
+
+    An envelope is ``{"schema": ..., "sha256": ..., "stats": {...}}``, the
+    checksum taken over the canonical JSON of the float-normalised stats.
+    Only envelopes of the current :data:`CACHE_SCHEMA_VERSION` whose
+    checksum matches are importable: an entry without the schema tag may
+    hold results of an older simulator under a key that still looks
+    current.
+    """
+    try:
+        payload = json.loads(text)
+        if payload.get("schema") != CACHE_SCHEMA_VERSION:
+            return None
+        flat = {str(k): float(v) for k, v in payload["stats"].items()}
+    except (ValueError, TypeError, AttributeError, KeyError):
+        return None
+    checksum = hashlib.sha256(_canonical(flat).encode("utf-8")).hexdigest()
+    return flat if payload.get("sha256") == checksum else None
 
 
 class ResultStore:
@@ -473,11 +494,11 @@ class ResultStore:
     def import_disk_cache(self, directory: Union[str, Path]) -> int:
         """Import a flat-file memo directory (``<digest>.json`` envelopes).
 
-        The migration path from the pre-service shared disk cache: every
-        decodable, checksum-valid envelope of the current memo schema is
-        inserted under its filename digest.  Corrupt, legacy-format or
-        wrong-schema entries are skipped (the disk layer's own quarantine
-        discipline already handles them).  Returns the number imported.
+        The one-shot migration from the flat-file memo tier of older
+        releases: every checksum-valid envelope of the current memo schema
+        is inserted under its filename digest.  Corrupt, unversioned
+        (pre-envelope) or wrong-schema entries are skipped.  Returns the
+        number imported.
         """
         directory = Path(directory)
         imported = 0
@@ -486,7 +507,7 @@ class ResultStore:
                 text = path.read_text(encoding="utf-8")
             except OSError:
                 continue
-            flat, _reason = _decode_entry(text)
+            flat = _decode_memo_entry(text)
             if flat is None:
                 continue
             self.put(path.stem, flat)

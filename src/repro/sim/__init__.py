@@ -37,7 +37,6 @@ from repro.sim.engine import (
     TRACE_MODES,
     VectorCacheState,
     arena_batching_available,
-    arena_batching_enabled,
     default_engine,
     default_trace_mode,
     native_chunk_heads,
@@ -66,7 +65,6 @@ from repro.sim.cpu import AtomicSimpleCPU, TraceOptions, run_data_trace
 from repro.sim.memo import (
     SimulationCache,
     default_simulation_cache,
-    shared_disk_cache_dir,
     stats_from_flat,
 )
 from repro.sim.runtime_config import RuntimeConfig
@@ -89,7 +87,6 @@ __all__ = [
     "TRACE_MODES",
     "VectorCacheState",
     "arena_batching_available",
-    "arena_batching_enabled",
     "default_engine",
     "default_trace_mode",
     "native_chunk_heads",
@@ -117,7 +114,6 @@ __all__ = [
     "run_data_trace",
     "SimulationCache",
     "default_simulation_cache",
-    "shared_disk_cache_dir",
     "stats_from_flat",
     "RuntimeConfig",
     "BatchSimulator",

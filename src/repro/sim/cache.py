@@ -377,8 +377,7 @@ class Cache:
         accesses, and each group runs through this level in one native
         call (the driver picks closed-form head collapse or member
         expansion per chunk, by the same head-fraction estimate as the
-        per-chunk path).  Without the batch kernel — or with
-        ``REPRO_SIM_ARENA=0`` — every chunk goes through
+        per-chunk path).  Without the batch kernel every chunk goes through
         :meth:`access_descriptors` unchanged.  Statistics are bit-identical
         either way; returns the total number of hits.
         """

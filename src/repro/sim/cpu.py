@@ -104,8 +104,8 @@ def run_data_trace(
 
         # Cross-chunk arena batching happens inside the stream walk: groups
         # of head-friendly chunks become one native call per cache level
-        # (``REPRO_SIM_ARENA=0`` or a missing kernel restores per-chunk
-        # dispatch; statistics are identical either way).
+        # (a missing kernel restores per-chunk dispatch; statistics are
+        # identical either way).
         hierarchy.access_data_descriptor_stream(counted())
     else:
         for addresses, is_write in program.memory_trace(

@@ -107,8 +107,7 @@ forwarded-stream construction for every chunk of the group
 stream reaches the next level as one batch; statistics are
 chunking-invariant, so the coarser granularity never changes results.
 :func:`chunk_heads` stays the bit-identity oracle (and the
-``REPRO_SIM_NATIVE=0`` fallback); ``REPRO_SIM_ARENA=0`` restores per-chunk
-dispatch on the native kernels.  Kernel scratch is pooled per thread
+``REPRO_SIM_NATIVE=0`` fallback, which dispatches per chunk).  Kernel scratch is pooled per thread
 (:class:`_ArenaScratch`), so short-lived hierarchies reuse warm pages.
 
 Replayable random replacement
@@ -268,23 +267,15 @@ class _ArenaScratch(threading.local):
 _ARENA_SCRATCH = _ArenaScratch()
 
 
-def arena_batching_enabled() -> bool:
-    """Whether cross-chunk arena batching is requested (``REPRO_SIM_ARENA``).
-
-    The toggle only affects dispatch granularity: arena-batched and
-    per-chunk processing are bit-identical (CI runs both).
-    """
-    return os.environ.get("REPRO_SIM_ARENA", "1") != "0"
-
-
 def arena_batching_available() -> bool:
     """Whether the descriptor front-end should group chunks into arenas.
 
-    True exactly when batching is enabled and the compiled batch driver is
-    loadable — without the native kernel, packing would only add overhead
-    on top of the per-chunk NumPy pipeline.
+    True exactly when the compiled batch driver is loaded — without the
+    native kernel, packing would only add overhead on top of the per-chunk
+    NumPy pipeline.  Arena-batched and per-chunk processing are
+    bit-identical.
     """
-    return arena_batching_enabled() and descriptor_batch_kernel() is not None
+    return descriptor_batch_kernel() is not None
 
 
 def native_chunk_heads(

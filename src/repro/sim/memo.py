@@ -7,54 +7,39 @@ pure function of ``(program content, hierarchy configuration, trace
 options, engine)``, its results can be cached on that key.
 
 :class:`SimulationCache` is an LRU-bounded in-memory store with an optional
-on-disk layer (the ``processes`` pool backend points every worker at one
-shared directory, see :func:`shared_disk_cache_dir`).  Keys hash the
-program's cached content digest — computed once per program — together with
-the hierarchy and trace options, normalising out the trace representation,
-which does not affect results.  Values are stored as flat statistics snapshots and
-reconstructed into fresh :class:`~repro.sim.stats.SimulationStats` objects on
-every lookup, so callers can never mutate a cached entry through an alias.
-The store is thread-safe: the ``threads`` backend of
-:class:`~repro.sim.simulator.SimulatorPool` shares one cache across workers,
-and :meth:`SimulationCache.get_or_compute` coalesces concurrent requests for
-one key onto a single in-flight computation.
+persistent backend (``store=``, a :class:`repro.service.ResultStore`).  Keys
+hash the program's cached content digest — computed once per program —
+together with the hierarchy and trace options, normalising out the trace
+representation, which does not affect results.  Values are stored as flat
+statistics snapshots and reconstructed into fresh
+:class:`~repro.sim.stats.SimulationStats` objects on every lookup, so
+callers can never mutate a cached entry through an alias.  The store is
+thread-safe: every backend of :class:`~repro.sim.simulator.SimulatorPool`
+memoizes in the calling process through one cache, and
+:meth:`SimulationCache.get_or_compute` coalesces concurrent requests for one
+key onto a single in-flight computation.
 
 Memoized statistics match a fresh simulation bit-for-bit except for
 ``sim.host_seconds``, which is rewritten by the caller to the (much smaller)
 lookup time — reporting the original walk time for a served-from-cache run
 would misstate simulation cost, e.g. in the Eq. 4 speedup accounting.
-
-The on-disk layer is shared by many processes that can die at any point, so
-it is hardened against the resulting debris: entries are written as
-schema-versioned, checksummed envelopes; a truncated, garbled or
-wrong-schema entry is **quarantined** (renamed, never deleted — the bytes
-stay available for post-mortems) and served as a miss, emitting a
-:class:`~repro.reliability.MemoQuarantineWarning`; and stale ``.*.tmp``
-scratch files left behind by workers killed mid-write are swept on cache
-construction.  The chaos suite drives these paths through the
-``memo_corrupt_read`` / ``memo_corrupt_write`` fault-injection sites.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
-import time
-import warnings
 from collections import OrderedDict
 from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from repro.reliability import MemoQuarantineWarning, current_deadline
-from repro.reliability import faults
+from repro.reliability import current_deadline
 from repro.sim.stats import SimulationStats
 
 
-#: Version tag of the default shared cache directory.  Bump whenever a
+#: Version tag of persisted simulation results (the
+#: :class:`~repro.service.ResultStore` tables).  Bump whenever a
 #: change alters simulation *results* (not just speed) or the key payload
 #: shape: the memoization key hashes only inputs, so cached statistics from
 #: an older behaviour would otherwise be served silently across upgrades.
@@ -65,11 +50,6 @@ from repro.sim.stats import SimulationStats
 #: planes join the simulated behaviour, and new policy names must never
 #: alias a digest computed before they existed).
 CACHE_SCHEMA_VERSION = 4
-
-#: Orphaned write scratch (``.{key}.{pid}.tmp``) older than this is removed
-#: when a cache attaches to a disk directory; younger files may belong to a
-#: live writer mid-``os.replace``.  ``REPRO_MEMO_TMP_MAX_AGE_S`` overrides.
-STALE_TMP_MAX_AGE_S = 600.0
 
 
 def _has_victim_stream_level(hierarchy: dict) -> bool:
@@ -88,48 +68,18 @@ def _has_victim_stream_level(hierarchy: dict) -> bool:
     )
 
 
-def shared_disk_cache_dir() -> Path:
-    """The default on-disk cache directory shared across worker processes.
-
-    ``REPRO_SIM_MEMO_DIR`` overrides; otherwise a per-user, per-schema
-    directory under the system temp root is used (created ``0o700``).
-    Entries are content-addressed by the memoization key, so sharing the
-    directory across runs and processes of one schema version is safe — a
-    stale entry is by construction bit-identical to a fresh simulation of
-    the same key.
-    """
-    override = os.environ.get("REPRO_SIM_MEMO_DIR")
-    if override:
-        return Path(override)
-    uid = os.getuid() if hasattr(os, "getuid") else 0
-    path = Path(tempfile.gettempdir()) / f"repro-sim-memo-v{CACHE_SCHEMA_VERSION}-{uid}"
-    try:
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    except OSError:
-        pass  # SimulationCache creates (or fails on) it with context
-    return path
-
-
 class SimulationCache:
     """LRU-bounded memoization store for simulation statistics."""
 
-    def __init__(
-        self,
-        maxsize: int = 128,
-        disk_dir: Optional[Union[str, Path]] = None,
-        store=None,
-    ):
+    def __init__(self, maxsize: int = 128, store=None):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
         #: Optional shared backing store (duck-typed, e.g.
         #: :class:`repro.service.ResultStore`): ``get(key) -> flat dict | None``
-        #: and ``put(key, flat)``.  Consulted after the in-memory LRU and the
-        #: disk layer, written through on every :meth:`put`.  Store errors are
-        #: contained as misses — a degraded backend never breaks a run.
+        #: and ``put(key, flat)``.  Consulted after the in-memory LRU and
+        #: written through on every :meth:`put`.  Store errors are contained
+        #: as misses — a degraded backend never breaks a run.
         self.store = store
         self._entries: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
         self._lock = threading.Lock()
@@ -142,29 +92,6 @@ class SimulationCache:
         #: Requests served by waiting on another thread's in-flight
         #: computation instead of simulating redundantly.
         self.coalesced = 0
-        #: Corrupted disk entries renamed aside (never deleted) by this cache.
-        self.quarantined = 0
-        if self.disk_dir is not None:
-            self._sweep_stale_tmp()
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove orphaned ``.*.tmp`` write scratch left by killed workers.
-
-        Only files older than :data:`STALE_TMP_MAX_AGE_S` go — a younger
-        scratch file may belong to a live writer about to ``os.replace`` it.
-        """
-        max_age = float(os.environ.get("REPRO_MEMO_TMP_MAX_AGE_S", STALE_TMP_MAX_AGE_S))
-        now = time.time()
-        try:
-            candidates = list(self.disk_dir.glob(".*.tmp"))
-        except OSError:
-            return
-        for path in candidates:
-            try:
-                if now - path.stat().st_mtime > max_age:
-                    path.unlink(missing_ok=True)
-            except OSError:  # raced with another sweeper or the writer
-                continue
 
     # -- keys ---------------------------------------------------------------
     @staticmethod
@@ -205,19 +132,17 @@ class SimulationCache:
             if flat is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return _stats_from_flat(flat)
-        # The disk read happens outside the lock so concurrent workers are
-        # not serialized behind file I/O (mirroring ``put``); the re-locked
-        # insert is a double-checked write — entries are content-addressed,
-        # so a racing inserter of the same key wrote identical data.
-        flat = self._load_from_disk(key)
-        if flat is None:
-            flat = self._load_from_store(key)
+                return stats_from_flat(flat)
+        # The store query happens outside the lock so concurrent workers are
+        # not serialized behind database I/O; the re-locked insert is a
+        # double-checked write — entries are content-addressed, so a racing
+        # inserter of the same key wrote identical data.
+        flat = self._load_from_store(key)
         with self._lock:
             if flat is not None:
                 self._insert(key, flat)
                 self.hits += 1
-                return _stats_from_flat(flat)
+                return stats_from_flat(flat)
             self.misses += 1
             return None
 
@@ -272,19 +197,6 @@ class SimulationCache:
         flat = dict(stats.as_dict())
         with self._lock:
             self._insert(key, flat)
-        if self.disk_dir is not None:
-            # File I/O happens outside the lock so concurrent workers are
-            # not serialized behind a disk write; the write-then-rename makes
-            # concurrent writers of the same key (which produce identical
-            # payloads) safe for readers.
-            path = self.disk_dir / f"{key}.json"
-            scratch = self.disk_dir / f".{key}.{os.getpid()}.tmp"
-            body = faults.corrupt_text("memo_corrupt_write", _encode_entry(flat))
-            try:
-                scratch.write_text(body, encoding="utf-8")
-                os.replace(scratch, path)
-            except OSError:  # a full or read-only disk never breaks the run
-                scratch.unlink(missing_ok=True)
         if self.store is not None:
             try:
                 self.store.put(key, flat)
@@ -296,23 +208,6 @@ class SimulationCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-
-    def _load_from_disk(self, key: str) -> Optional[Dict[str, float]]:
-        if self.disk_dir is None:
-            return None
-        path = self.disk_dir / f"{key}.json"
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError:  # unreadable but present: leave it for a post-mortem
-            return None
-        text = faults.corrupt_text("memo_corrupt_read", text)
-        flat, reason = _decode_entry(text)
-        if flat is None:
-            self._quarantine(path, reason)
-            return None
-        return flat
 
     def _load_from_store(self, key: str) -> Optional[Dict[str, float]]:
         """Consult the shared backing store; errors are contained as misses."""
@@ -328,16 +223,6 @@ class SimulationCache:
             return {str(k): float(v) for k, v in flat.items()}
         except (AttributeError, TypeError, ValueError):
             return None
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupted entry aside (rename, never delete) and warn."""
-        self.quarantined += 1
-        target = path.with_name(path.name + ".quarantine")
-        try:
-            os.replace(path, target)
-        except OSError:
-            pass  # raced with another quarantiner or a fresh overwrite
-        warnings.warn(MemoQuarantineWarning(str(path), reason), stacklevel=3)
 
     # -- management ---------------------------------------------------------
     def clear(self) -> None:
@@ -359,65 +244,6 @@ class SimulationCache:
         )
 
 
-def _canonical_stats_json(flat: Dict[str, float]) -> str:
-    return json.dumps(flat, sort_keys=True, separators=(",", ":"))
-
-
-def _encode_entry(flat: Dict[str, float]) -> str:
-    """Serialise one entry as a schema-versioned, checksummed envelope.
-
-    Values are normalised to floats first so the checksum computed here
-    matches the one recomputed after a JSON round trip (which turns every
-    number into a float).
-    """
-    normalised = {str(k): float(v) for k, v in flat.items()}
-    stats_json = _canonical_stats_json(normalised)
-    checksum = hashlib.sha256(stats_json.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"schema": CACHE_SCHEMA_VERSION, "sha256": checksum, "stats": normalised},
-        sort_keys=True,
-    )
-
-
-def _decode_entry(text: str):
-    """Parse and validate one disk entry.
-
-    Returns ``(flat_stats, "")`` on success or ``(None, reason)`` when the
-    entry must be quarantined.  Legacy flat-dictionary entries (written
-    before the envelope format, within the same schema directory) are still
-    accepted; everything else must carry the schema tag and a matching
-    checksum.
-    """
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        return None, "not valid JSON (truncated or garbled)"
-    if not isinstance(payload, dict):
-        return None, f"unexpected payload type {type(payload).__name__}"
-    if "schema" in payload:
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None, (
-                f"schema {payload.get('schema')!r} != expected {CACHE_SCHEMA_VERSION}"
-            )
-        stats = payload.get("stats")
-        if not isinstance(stats, dict):
-            return None, "missing stats object"
-        try:
-            flat = {str(k): float(v) for k, v in stats.items()}
-        except (TypeError, ValueError):
-            return None, "non-numeric statistics values"
-        checksum = hashlib.sha256(
-            _canonical_stats_json(flat).encode("utf-8")
-        ).hexdigest()
-        if payload.get("sha256") != checksum:
-            return None, "checksum mismatch"
-        return flat, ""
-    try:  # legacy pre-envelope entry: a flat {"group.key": value} dict
-        return {str(k): float(v) for k, v in payload.items()}, ""
-    except (TypeError, ValueError):
-        return None, "non-numeric statistics values"
-
-
 def stats_from_flat(flat: Dict[str, float]) -> SimulationStats:
     """Rebuild a :class:`SimulationStats` from its flat snapshot.
 
@@ -429,10 +255,6 @@ def stats_from_flat(flat: Dict[str, float]) -> SimulationStats:
         group_name, _, key = flat_key.rpartition(".")
         stats.group(group_name).set(key, value)
     return stats
-
-
-#: Backwards-compatible private alias (pre-service internal name).
-_stats_from_flat = stats_from_flat
 
 
 #: Process-wide default cache shared by all memoizing simulators.

@@ -1,11 +1,11 @@
 """Typed runtime configuration: one resolution point for the toggle surface.
 
 The simulation stack grew one environment variable per PR — engine selection,
-trace representation, native-kernel and arena-batching toggles, retry policy,
-the shared memo directory.  Each used to be read ad hoc at its point of use
-(``os.environ.get`` scattered through ``engine.py``, ``simulator.py``,
-``runner.py``, ``memo.py``), which made the effective configuration of a run
-impossible to inspect or to pin down for a service process.
+trace representation, replacement policy, retry policy.  Each used to be read
+ad hoc at its point of use (``os.environ.get`` scattered through
+``engine.py``, ``simulator.py``, ``runner.py``), which made the effective
+configuration of a run impossible to inspect or to pin down for a service
+process.
 
 :class:`RuntimeConfig` consolidates that surface into a frozen dataclass with
 **one documented env-resolution point**, :meth:`RuntimeConfig.from_env`:
@@ -23,12 +23,6 @@ impossible to inspect or to pin down for a service process.
                                                    for every hierarchy level
                                                    (registry name; default:
                                                    per-level Table I policies)
-``native``                ``REPRO_SIM_NATIVE``     compiled C kernels (``0``
-                                                   disables; default on)
-``arena``                 ``REPRO_SIM_ARENA``      cross-chunk arena batching
-                                                   (``0`` disables; default on)
-``memo_dir``              ``REPRO_SIM_MEMO_DIR``   shared on-disk memo directory
-                                                   (default: per-user temp dir)
 ``retry``                 ``REPRO_RETRY_*``        retry policy of the resilient
                                                    APIs (attempts/base delay/max
                                                    delay/seed; default disabled)
@@ -42,12 +36,10 @@ the current environment into explicit values, pinning them against later
 environment changes; it is the one place the variables above are read into
 structured form.
 
-``native`` and ``arena`` are process-global toggles (the native library probe
-and the arena dispatch gate read the environment directly, deep inside the
-engine); :meth:`apply_process_toggles` writes them back to ``os.environ`` for
-service entry points that must pin the whole process, and
-:meth:`RuntimeConfig.describe` renders the resolved surface for
-``repro.cli serve --check``.
+``REPRO_SIM_NATIVE=0`` is not a field: it is a process-wide switch, read once
+by the native-kernel loader (:mod:`repro.sim._native`) before the first
+simulation.  :meth:`RuntimeConfig.describe` reports it alongside the fields
+for ``repro.cli serve --check``.
 """
 
 from __future__ import annotations
@@ -59,23 +51,18 @@ from typing import List, Mapping, Optional, Tuple
 from repro.reliability import RetryPolicy
 from repro.sim.engine import resolve_engine, resolve_trace_mode
 
-#: ``(field, env var, description)`` rows of the documented toggle surface.
+#: ``(setting, env var, description)`` rows of the documented toggle surface:
+#: the env-backed fields, then the process-wide native-kernel switch.
 ENV_SURFACE: Tuple[Tuple[str, str, str], ...] = (
     ("engine", "REPRO_SIM_ENGINE", "cache-simulation engine (reference/vectorized)"),
     ("trace", "REPRO_SIM_TRACE", "trace representation (expanded/descriptor)"),
     ("replacement", "REPRO_SIM_REPLACEMENT",
      "replacement policy of every hierarchy level (registry name; default Table I)"),
-    ("native", "REPRO_SIM_NATIVE", "compiled C kernels (0 disables)"),
-    ("arena", "REPRO_SIM_ARENA", "cross-chunk arena batching (0 disables)"),
-    ("memo_dir", "REPRO_SIM_MEMO_DIR", "shared on-disk memo directory"),
     ("retry", "REPRO_RETRY_ATTEMPTS (+_BASE_DELAY_S/_MAX_DELAY_S/_SEED)",
      "retry policy of the resilient APIs"),
+    ("native", "REPRO_SIM_NATIVE",
+     "compiled C kernels, process-wide, not a field (0 disables)"),
 )
-
-
-def _native_flag(value: Optional[str]) -> bool:
-    """``REPRO_SIM_NATIVE``/``REPRO_SIM_ARENA`` reading: only ``"0"`` disables."""
-    return value != "0"
 
 
 @dataclass(frozen=True)
@@ -95,15 +82,8 @@ class RuntimeConfig:
     #: :data:`repro.sim.policies.POLICIES` name); ``None`` defers to
     #: ``REPRO_SIM_REPLACEMENT`` and then the Table I per-level defaults.
     replacement: Optional[str] = None
-    #: Compiled-kernel toggle (process-global; see :meth:`apply_process_toggles`).
-    native: Optional[bool] = None
-    #: Arena-batching toggle (process-global; see :meth:`apply_process_toggles`).
-    arena: Optional[bool] = None
     #: Whether simulators memoize results at all (no env var; default on).
     memoize: Optional[bool] = None
-    #: Shared on-disk memo directory; ``None`` defers to ``REPRO_SIM_MEMO_DIR``
-    #: (and then the per-user default of :func:`repro.sim.memo.shared_disk_cache_dir`).
-    memo_dir: Optional[str] = None
     #: Per-candidate simulation budget in seconds (0 = unlimited).
     timeout_s: float = 0.0
     #: Retry policy of the resilient APIs; ``None`` defers to ``REPRO_RETRY_*``.
@@ -123,10 +103,7 @@ class RuntimeConfig:
             engine=env.get("REPRO_SIM_ENGINE") or None,
             trace=env.get("REPRO_SIM_TRACE") or None,
             replacement=env.get("REPRO_SIM_REPLACEMENT") or None,
-            native=_native_flag(env.get("REPRO_SIM_NATIVE")),
-            arena=_native_flag(env.get("REPRO_SIM_ARENA")),
             memoize=True,
-            memo_dir=env.get("REPRO_SIM_MEMO_DIR") or None,
             retry=RetryPolicy(
                 max_attempts=int(env.get("REPRO_RETRY_ATTEMPTS", "1")),
                 base_delay_s=float(env.get("REPRO_RETRY_BASE_DELAY_S", "0.05")),
@@ -154,18 +131,6 @@ class RuntimeConfig:
             get_policy(value)  # raises ValueError on unknown names
         return value
 
-    def resolved_native(self) -> bool:
-        """The effective compiled-kernel toggle (field, else ``REPRO_SIM_NATIVE``)."""
-        if self.native is not None:
-            return self.native
-        return _native_flag(os.environ.get("REPRO_SIM_NATIVE"))
-
-    def resolved_arena(self) -> bool:
-        """The effective arena toggle (field, else ``REPRO_SIM_ARENA``)."""
-        if self.arena is not None:
-            return self.arena
-        return _native_flag(os.environ.get("REPRO_SIM_ARENA"))
-
     def resolved_memoize(self) -> bool:
         """The effective memoization toggle (default on; no env var)."""
         return True if self.memoize is None else self.memoize
@@ -173,28 +138,6 @@ class RuntimeConfig:
     def resolved_retry(self) -> RetryPolicy:
         """The effective retry policy (field, else ``REPRO_RETRY_*``)."""
         return self.retry if self.retry is not None else RetryPolicy.from_env()
-
-    def resolved_memo_dir(self) -> str:
-        """The effective shared memo directory (field, else env, else default)."""
-        if self.memo_dir is not None:
-            return str(self.memo_dir)
-        from repro.sim.memo import shared_disk_cache_dir
-
-        return str(shared_disk_cache_dir())
-
-    # -- process-global toggles ---------------------------------------------
-    def apply_process_toggles(self) -> None:
-        """Pin the process-global toggles by writing them back to ``os.environ``.
-
-        The native-kernel probe and the arena dispatch gate are read deep
-        inside the engine on every call; long-lived service processes call
-        this once at startup so the config object is authoritative for the
-        whole process.
-        """
-        os.environ["REPRO_SIM_NATIVE"] = "1" if self.resolved_native() else "0"
-        os.environ["REPRO_SIM_ARENA"] = "1" if self.resolved_arena() else "0"
-        if self.memo_dir is not None:
-            os.environ["REPRO_SIM_MEMO_DIR"] = str(self.memo_dir)
 
     def validate(self) -> "RuntimeConfig":
         """Resolve and type-check every field; raises ``ValueError`` on nonsense."""
@@ -207,16 +150,14 @@ class RuntimeConfig:
         return self
 
     def describe(self) -> List[Tuple[str, str, str]]:
-        """``(field, env var, resolved value)`` rows for ``serve --check``."""
+        """``(setting, env var, resolved value)`` rows for ``serve --check``."""
         engine = self.resolved_engine()
         resolved = {
             "engine": engine,
             "trace": self.resolved_trace(engine),
             "replacement": self.resolved_replacement() or "per-level default",
-            "native": "on" if self.resolved_native() else "off",
-            "arena": "on" if self.resolved_arena() else "off",
-            "memo_dir": self.resolved_memo_dir(),
             "retry": repr(self.resolved_retry()),
+            "native": "off" if os.environ.get("REPRO_SIM_NATIVE") == "0" else "on",
         }
         return [(name, env_var, resolved[name]) for name, env_var, _ in ENV_SURFACE]
 

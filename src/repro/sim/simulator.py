@@ -58,10 +58,6 @@ from repro.sim.memo import SimulationCache, default_simulation_cache
 from repro.sim.runtime_config import RuntimeConfig
 from repro.sim.stats import SimulationStats
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``/value,
-#: so the deprecated ``engine=``/``memoize=`` kwargs warn only when used.
-_UNSET = object()
-
 
 @dataclass
 class SimulationResult:
@@ -143,24 +139,19 @@ class Simulator:
         arch: str,
         hierarchy_config: Optional[CacheHierarchyConfig] = None,
         trace_options: TraceOptions = TraceOptions(),
-        engine=_UNSET,
-        memoize=_UNSET,
-        memo_cache: Optional[SimulationCache] = None,
         *,
+        memo_cache: Optional[SimulationCache] = None,
         config: Optional[RuntimeConfig] = None,
     ):
         """Build a simulator for ``arch``.
 
-        Runtime toggles (engine, trace representation, memoization, retry,
-        memo directory) come from ``config`` — a
+        Runtime toggles (engine, trace representation, memoization, retry)
+        come from ``config`` — a
         :class:`~repro.sim.runtime_config.RuntimeConfig`, defaulting to the
-        env-deferring ``RuntimeConfig()``.  The per-toggle ``engine=`` and
-        ``memoize=`` kwargs are **deprecated** (still honoured, with a
-        :class:`DeprecationWarning`, for one release): pass
-        ``config=RuntimeConfig(engine=..., memoize=...)`` instead.
-
-        Resolution precedence, most specific first: deprecated kwarg >
-        ``config`` field > ``TraceOptions`` field > environment > default.
+        env-deferring ``RuntimeConfig()``.  Resolution precedence, most
+        specific first: ``config`` field > ``TraceOptions`` field >
+        environment > default.  ``memo_cache`` replaces the process-wide
+        default cache of a memoizing simulator.
         """
         self.arch = arch.strip().lower()
         self.config = config if config is not None else RuntimeConfig()
@@ -176,32 +167,14 @@ class Simulator:
             else:
                 hierarchy_config = CACHE_HIERARCHIES[self.arch]
         self.hierarchy_config = hierarchy_config
-        if engine is _UNSET:
-            engine = None
-        else:
-            warnings.warn(
-                "Simulator(engine=...) is deprecated; pass "
-                "config=RuntimeConfig(engine=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if memoize is _UNSET:
-            memoize = self.config.resolved_memoize()
-        else:
-            warnings.warn(
-                "Simulator(memoize=...) is deprecated; pass "
-                "config=RuntimeConfig(memoize=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.engine = resolve_engine(engine or self.config.engine or trace_options.engine)
+        self.engine = resolve_engine(self.config.engine or trace_options.engine)
         # Pin the trace representation at construction so later environment
         # changes cannot make runs disagree with the inspected attribute.
         self.trace = resolve_trace_mode(
             self.config.trace or trace_options.trace, self.engine
         )
         self.trace_options = replace(trace_options, trace=self.trace)
-        self.memoize = bool(memoize)
+        self.memoize = self.config.resolved_memoize()
         self.memo_cache = memo_cache if memo_cache is not None else (
             default_simulation_cache() if self.memoize else None
         )
@@ -238,17 +211,7 @@ class Simulator:
                 key, lambda: self._simulate(program)
             )
             if not computed:
-                elapsed = time.perf_counter() - start
-                stats.group("sim").set("host_seconds", elapsed)
-                return SimulationResult(
-                    program_name=program.name,
-                    arch=self.arch,
-                    stats=stats,
-                    trace_accesses=int(stats.get("sim.trace_accesses")),
-                    host_seconds=elapsed,
-                    cached=True,
-                    sim_digest=key,
-                )
+                return self._cached_result(program, key, stats, start)
         else:
             stats = self._simulate(program)
             key = SimulationCache.make_key(
@@ -260,6 +223,22 @@ class Simulator:
             stats=stats,
             trace_accesses=int(stats.get("sim.trace_accesses")),
             host_seconds=stats.get("sim.host_seconds"),
+            sim_digest=key,
+        )
+
+    def _cached_result(
+        self, program: Program, key: str, stats: SimulationStats, started_at: float
+    ) -> SimulationResult:
+        """A memo hit as a result; ``sim.host_seconds`` is the lookup time."""
+        elapsed = time.perf_counter() - started_at
+        stats.group("sim").set("host_seconds", elapsed)
+        return SimulationResult(
+            program_name=program.name,
+            arch=self.arch,
+            stats=stats,
+            trace_accesses=int(stats.get("sim.trace_accesses")),
+            host_seconds=elapsed,
+            cached=True,
             sim_digest=key,
         )
 
@@ -421,16 +400,8 @@ class BatchSimulator(Simulator):
                 )
                 stats = self.memo_cache.get(cand.key)
                 if stats is not None:
-                    elapsed = time.perf_counter() - cand.started_at
-                    stats.group("sim").set("host_seconds", elapsed)
-                    cand.outcome = SimulationResult(
-                        program_name=cand.program.name,
-                        arch=self.arch,
-                        stats=stats,
-                        trace_accesses=int(stats.get("sim.trace_accesses")),
-                        host_seconds=elapsed,
-                        cached=True,
-                        sim_digest=cand.key,
+                    cand.outcome = self._cached_result(
+                        cand.program, cand.key, stats, cand.started_at
                     )
                     return False
             deadline = Deadline.after(timeout) if timeout > 0 else None
@@ -602,19 +573,6 @@ class BatchSimulator(Simulator):
                 error = next_error
 
 
-#: Per-process disk-backed caches, keyed by directory: pool workers are
-#: reused across submitted slices, so the in-memory LRU layer stays warm
-#: instead of being rebuilt (and re-reading disk) for every task.
-_WORKER_CACHES: Dict[str, SimulationCache] = {}
-
-
-def _worker_cache(memo_dir: str) -> SimulationCache:
-    cache = _WORKER_CACHES.get(memo_dir)
-    if cache is None:
-        cache = _WORKER_CACHES[memo_dir] = SimulationCache(disk_dir=memo_dir)
-    return cache
-
-
 def _attempt_program(
     simulator: Simulator,
     program: Program,
@@ -660,24 +618,17 @@ def _attempt_program(
 
 
 def _run_batch_slice(
-    arch, hierarchy_config, trace_options, programs, config, memo_dir,
-    timeout_s, retry
+    arch, hierarchy_config, trace_options, programs, config, timeout_s, retry
 ) -> List[ResilientOutcome]:
     """Worker entry for one pool slice: a shared-hierarchy batch simulator.
 
-    Used by both the threads backend (``memo_dir=None`` — the process-wide
-    cache is shared directly) and the processes backend (workers memoize
-    through the shared on-disk layer).  Containment happens per candidate
-    inside :meth:`BatchSimulator.iter_batch`, so the returned list always
-    has one entry per program; only a hard worker death surfaces to the
-    parent.
+    Used by the threads backend (memoizing through the process-wide cache)
+    and the processes backend (whose workers run with ``memoize=False``:
+    the parent memoizes).  Containment happens per candidate inside
+    :meth:`BatchSimulator.iter_batch`, so the returned list always has one
+    entry per program; only a hard worker death surfaces to the parent.
     """
-    memo_cache = None
-    if config.resolved_memoize() and memo_dir is not None:
-        memo_cache = _worker_cache(memo_dir)
-    batch = BatchSimulator(
-        arch, hierarchy_config, trace_options, memo_cache=memo_cache, config=config
-    )
+    batch = BatchSimulator(arch, hierarchy_config, trace_options, config=config)
     return list(batch.iter_batch(programs, timeout_s=timeout_s, retry=retry))
 
 
@@ -707,10 +658,12 @@ class SimulatorPool:
       release the interpreter lock, so threads deliver parallelism without
       the process-spawn and pickling overhead of ``"processes"``.  All
       workers share the process-wide memoization cache.
-    * ``"processes"`` — one OS process per slice.  Workers share the
-      memoization cache through an on-disk layer (``memo_dir``, defaulting
-      to :func:`repro.sim.memo.shared_disk_cache_dir`), so a result computed
-      by any worker — or by a previous run — is served to all of them.
+    * ``"processes"`` — one OS process per slice.  Memoization stays in the
+      calling process, as on the other backends: each program's memo key is
+      looked up in :func:`~repro.sim.memo.default_simulation_cache` before
+      dispatch, only the misses travel to the workers (which run with
+      ``memoize=False``), and each returned result is stored under its
+      ``sim_digest``.
     """
 
     arch: str
@@ -720,9 +673,6 @@ class SimulatorPool:
     backend: str = "serial"  # "serial", "threads" or "processes"
     engine: Optional[str] = None
     memoize: bool = True
-    #: Shared disk cache directory for the ``processes`` backend; ``None``
-    #: selects the per-user default.
-    memo_dir: Optional[str] = None
     #: Per-candidate simulation budget in seconds (0 = unlimited).  Enforced
     #: cooperatively inside lowering and the trace sweep, with a pool-kill
     #: backstop on the ``processes`` backend.
@@ -734,9 +684,9 @@ class SimulatorPool:
     #: remaining work degrades to the ``threads`` backend.
     max_pool_respawns: int = 2
     #: Consolidated runtime configuration.  Per-field dataclass knobs above
-    #: (``engine``/``memoize``/``memo_dir``/``timeout_s``/``retry``) override
-    #: the corresponding config fields when set, so legacy call sites keep
-    #: their exact semantics; new call sites should pass ``config`` alone.
+    #: (``engine``/``memoize``/``timeout_s``/``retry``) override the
+    #: corresponding config fields when set, so legacy call sites keep their
+    #: exact semantics; new call sites should pass ``config`` alone.
     config: Optional[RuntimeConfig] = None
 
     BACKENDS = ("serial", "threads", "processes")
@@ -747,7 +697,6 @@ class SimulatorPool:
         return cfg.with_overrides(
             engine=self.engine or cfg.engine,
             memoize=cfg.resolved_memoize() and self.memoize,
-            memo_dir=self.memo_dir or cfg.memo_dir,
             timeout_s=self.timeout_s or cfg.timeout_s,
             retry=self.retry or cfg.retry,
         )
@@ -797,8 +746,8 @@ class SimulatorPool:
 
         The ``serial`` backend streams per candidate (wave-buffered); the
         ``threads`` backend streams slice by slice as workers finish; the
-        ``processes`` backend yields each slice once its respawn loop has
-        settled it.
+        ``processes`` backend serves memo hits from the caller and yields
+        each slice of misses once its respawn loop has settled it.
         """
         if self.backend not in self.BACKENDS:
             raise ValueError(
@@ -807,34 +756,27 @@ class SimulatorPool:
         cfg = self._runtime()
         retry = cfg.resolved_retry()
         timeout_s = float(cfg.timeout_s or 0.0)
-        memo_dir = None
-        if self.backend == "processes" and cfg.resolved_memoize():
-            memo_dir = cfg.resolved_memo_dir()
         if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
-            memo_cache = _worker_cache(memo_dir) if memo_dir else None
             batch = BatchSimulator(
-                self.arch,
-                self.hierarchy_config,
-                self.trace_options,
-                memo_cache=memo_cache,
-                config=cfg,
+                self.arch, self.hierarchy_config, self.trace_options, config=cfg
             )
             yield from batch.iter_batch(programs, timeout_s=timeout_s, retry=retry)
             return
-        slices = self._contiguous_slices(programs)
         if self.backend == "threads":
-            yield from self._iter_batch_threads(slices, timeout_s, retry)
+            yield from self._iter_batch_threads(
+                self._contiguous_slices(programs), cfg, timeout_s, retry
+            )
             return
-        yield from self._iter_batch_processes(slices, memo_dir, timeout_s, retry)
+        yield from self._iter_batch_processes(programs, cfg, timeout_s, retry)
 
     def _iter_batch_threads(
         self,
         slices: List[Sequence[Program]],
+        cfg: RuntimeConfig,
         timeout_s: float,
         retry: RetryPolicy,
     ) -> Iterator[ResilientOutcome]:
         """One batch simulator per thread slice; yields slices in order."""
-        cfg = self._runtime()
         with ThreadPoolExecutor(max_workers=len(slices)) as pool:
             futures = [
                 pool.submit(
@@ -844,7 +786,6 @@ class SimulatorPool:
                     self.trace_options,
                     chunk,
                     cfg,
-                    None,
                     timeout_s,
                     retry,
                 )
@@ -866,7 +807,6 @@ class SimulatorPool:
                         self.trace_options,
                         chunk,
                         cfg,
-                        None,
                         timeout_s,
                         retry,
                     )
@@ -874,8 +814,45 @@ class SimulatorPool:
 
     def _iter_batch_processes(
         self,
-        slices: List[Sequence[Program]],
-        memo_dir: Optional[str],
+        programs: Sequence[Program],
+        cfg: RuntimeConfig,
+        timeout_s: float,
+        retry: RetryPolicy,
+    ) -> Iterator[ResilientOutcome]:
+        """Memoize in the caller; simulate only the misses on worker processes."""
+        parent = Simulator(self.arch, self.hierarchy_config, self.trace_options, config=cfg)
+        memo = parent.memo_cache  # None unless memoizing
+        hits: List[Optional[SimulationResult]] = []
+        for program in programs:
+            hit = None
+            if memo is not None:
+                start = time.perf_counter()
+                key = memo.make_key(
+                    program, parent.hierarchy_config, parent.trace_options, parent.engine
+                )
+                stats = memo.get(key)
+                if stats is not None:
+                    hit = parent._cached_result(program, key, stats, start)
+            hits.append(hit)
+        computed = self._iter_process_slices(
+            [program for program, hit in zip(programs, hits) if hit is None],
+            cfg.with_overrides(memoize=False),
+            timeout_s,
+            retry,
+        )
+        for hit in hits:
+            if hit is not None:
+                yield hit
+                continue
+            outcome = next(computed)
+            if memo is not None and isinstance(outcome, SimulationResult):
+                memo.put(outcome.sim_digest, outcome.stats)
+            yield outcome
+
+    def _iter_process_slices(
+        self,
+        programs: Sequence[Program],
+        cfg: RuntimeConfig,
         timeout_s: float,
         retry: RetryPolicy,
     ) -> Iterator[ResilientOutcome]:
@@ -888,12 +865,12 @@ class SimulatorPool:
         degrade to the threads backend (whose cooperative deadlines keep
         per-candidate isolation).
         """
+        slices = self._contiguous_slices(programs)
         n = len(slices)
         results: List[Optional[List[ResilientOutcome]]] = [None] * n
         pending = list(range(n))
         respawns = 0
         emitted = 0
-        cfg = self._runtime()
         while pending:
             pool = ProcessPoolExecutor(max_workers=min(self.n_parallel, len(pending)))
             futures = {}
@@ -905,7 +882,6 @@ class SimulatorPool:
                     self.trace_options,
                     slices[s],
                     cfg,
-                    memo_dir,
                     timeout_s,
                     retry,
                 )
@@ -949,7 +925,7 @@ class SimulatorPool:
                 )
                 flattened = list(
                     self._iter_batch_threads(
-                        [slices[s] for s in pending], timeout_s, retry
+                        [slices[s] for s in pending], cfg, timeout_s, retry
                     )
                 )
                 at = 0

@@ -20,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.sim.memo as memo_module
+import repro.sim.simulator as simulator_module
 import repro.workloads  # noqa: F401 — registers the tuning templates
 from repro.autotune import (
     GATuner,
@@ -47,6 +49,8 @@ from repro.sim.simulator import SimulationFailure, SimulationResult, _attempt_pr
 from repro.sim.stats import SimulationStats
 
 TRACE = TraceOptions(max_accesses=15_000)
+#: Oracle and batch simulators run unmemoized unless a test says otherwise.
+UNMEMOIZED = RuntimeConfig(memoize=False)
 
 
 @pytest.fixture(autouse=True)
@@ -158,24 +162,20 @@ class TestBatchSimulatorEquivalence:
     @pytest.mark.parametrize("trace", ["descriptor", "expanded"])
     def test_bit_identical_across_engines_and_traces(self, programs, engine, trace):
         options = TraceOptions(max_accesses=TRACE.max_accesses, engine=engine, trace=trace)
-        serial = [Simulator("arm", trace_options=options, memoize=False).run(p) for p in programs]
-        batched = BatchSimulator("arm", trace_options=options, memoize=False).run_batch(programs)
-        assert_bit_identical(batched, serial)
-
-    def test_bit_identical_without_arena_batching(self, programs, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ARENA", "0")
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs]
-        batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(programs)
-        assert_bit_identical(batched, serial)
+        serial = [
+            Simulator("arm", trace_options=options, config=UNMEMOIZED).run(p) for p in programs
+        ]
+        batch = BatchSimulator("arm", trace_options=options, config=UNMEMOIZED)
+        assert_bit_identical(batch.run_batch(programs), serial)
 
     def test_bit_identical_without_native_kernels(self, programs, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_NATIVE", "0")
         _native._reset_for_tests()
         try:
             serial = [
-                Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs
+                Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs
             ]
-            batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(
+            batched = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED).run_batch(
                 programs
             )
             assert_bit_identical(batched, serial)
@@ -185,21 +185,19 @@ class TestBatchSimulatorEquivalence:
 
     def test_duplicates_in_one_batch(self, programs):
         doubled = list(programs) + list(programs)
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in doubled]
-        batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(doubled)
+        serial = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in doubled]
+        batched = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED).run_batch(doubled)
         assert_bit_identical(batched, serial)
 
     def test_iter_batch_streams_in_input_order(self, programs):
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         names = [outcome.program_name for outcome in batch.iter_batch(programs)]
         assert names == [p.name for p in programs]
 
     def test_memoized_rerun_is_served_cached(self, programs):
         # A private cache: the process-wide default memo may already hold
         # these programs from other test modules.
-        batch = BatchSimulator(
-            "arm", trace_options=TRACE, memoize=True, memo_cache=SimulationCache()
-        )
+        batch = BatchSimulator("arm", trace_options=TRACE, memo_cache=SimulationCache())
         first = batch.run_batch(programs)
         second = batch.run_batch(programs)
         assert all(not r.cached for r in first)
@@ -210,15 +208,15 @@ class TestBatchSimulatorEquivalence:
         assert BatchSimulator("arm", trace_options=TRACE).run_batch([]) == []
 
     def test_sim_digest_is_stable_across_paths(self, programs):
-        serial = Simulator("arm", trace_options=TRACE, memoize=False).run(programs[0])
-        batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(
+        serial = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(programs[0])
+        batched = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED).run_batch(
             [programs[0]]
         )[0]
-        memoized = Simulator("arm", trace_options=TRACE, memoize=True).run(programs[0])
+        memoized = Simulator("arm", trace_options=TRACE).run(programs[0])
         assert serial.sim_digest
         assert serial.sim_digest == batched.sim_digest == memoized.sim_digest
         other = Simulator(
-            "arm", trace_options=TraceOptions(max_accesses=7_000), memoize=False
+            "arm", trace_options=TraceOptions(max_accesses=7_000), config=UNMEMOIZED
         ).run(programs[0])
         assert other.sim_digest != serial.sim_digest
 
@@ -250,9 +248,9 @@ class _BrokenProgram:
 class TestBatchFailureIsolation:
     def test_error_is_isolated_and_mapped_identically(self, programs):
         mixed = [programs[0], _BrokenProgram(), programs[1]]
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         outcomes = list(batch.iter_batch(mixed, retry=RetryPolicy()))
-        simulator = Simulator("arm", trace_options=TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         serial = [simulator.run(p) for p in (programs[0], programs[1])]
         assert flat(outcomes[0]) == flat(serial[0])
         assert flat(outcomes[2]) == flat(serial[1])
@@ -270,7 +268,7 @@ class TestBatchFailureIsolation:
     ):
         retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
         mixed = [programs[0], _BrokenProgram(), programs[1]]
-        oracle = Simulator("arm", trace_options=TRACE, config=RuntimeConfig(memoize=False))
+        oracle = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         per_candidate = [_attempt_program(oracle, p, 0.0, retry) for p in mixed]
         pool = SimulatorPool("arm", n_parallel=n_parallel, trace_options=TRACE,
                              backend=backend, memoize=False, retry=retry)
@@ -289,7 +287,7 @@ class TestBatchFailureIsolation:
             pool.run_many([programs[0], _BrokenProgram()])
 
     def test_timeout_is_final_and_isolated(self, programs):
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         outcomes = list(
             batch.iter_batch(programs, timeout_s=1e-9, retry=RetryPolicy(max_attempts=3))
         )
@@ -301,20 +299,106 @@ class TestBatchFailureIsolation:
 
     def test_injected_crash_is_retried_in_isolation(self, programs):
         faults.configure("worker_crash:once")
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
         outcomes = list(batch.iter_batch(programs, retry=retry))
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs]
+        serial = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
         assert_bit_identical(outcomes, serial)
 
     def test_injected_crash_without_retry_budget_fails_alone(self, programs):
         faults.configure("worker_crash:once")
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         outcomes = list(batch.iter_batch(programs, retry=RetryPolicy()))
         assert isinstance(outcomes[0], SimulationFailure)
         assert outcomes[0].kind == SimulationFailure.CRASH
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs]
+        serial = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
         assert_bit_identical(outcomes[1:], serial[1:])
+
+
+# ---------------------------------------------------------------------------
+# Pool memoization in the calling process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def caller_memo(monkeypatch):
+    """A fresh process-wide default cache, so every pool starts cold."""
+    memo = SimulationCache()
+    monkeypatch.setattr(memo_module, "_DEFAULT_CACHE", memo)
+    return memo
+
+
+class TestPoolCallerMemo:
+    """Every pool backend memoizes through the caller's default cache.
+
+    The ``processes`` backend looks each program up before dispatch, sends
+    only the misses to its workers and stores each returned result under
+    its ``sim_digest``; ``serial`` and ``threads`` memoize inside their batch
+    simulators.  Either way a pool reads and fills the same cache as a plain
+    ``Simulator``, and failures never enter it.
+    """
+
+    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    def test_hits_and_misses_keep_input_order(self, backend, programs, caller_memo):
+        warm = (0, 2)
+        for index in warm:
+            Simulator("arm", trace_options=TRACE).run(programs[index])
+        pool = SimulatorPool("arm", n_parallel=2, trace_options=TRACE, backend=backend)
+        outcomes = pool.run_many(programs)
+        assert [o.program_name for o in outcomes] == [p.name for p in programs]
+        assert [o.cached for o in outcomes] == [i in warm for i in range(len(programs))]
+        oracle = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
+        assert_bit_identical(outcomes, oracle)
+        assert [o.sim_digest for o in outcomes] == [o.sim_digest for o in oracle]
+        assert len(caller_memo) == len(programs)
+
+    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    def test_pool_results_serve_a_plain_simulator(self, backend, programs, caller_memo):
+        pool = SimulatorPool("arm", n_parallel=2, trace_options=TRACE, backend=backend)
+        computed = pool.run_many(programs)
+        assert not any(result.cached for result in computed)
+        for program, result in zip(programs, computed):
+            replay = Simulator("arm", trace_options=TRACE).run(program)
+            assert replay.cached
+            assert replay.sim_digest == result.sim_digest
+            assert flat(replay) == flat(result)
+
+    def test_processes_dispatch_only_the_misses(self, programs, caller_memo, monkeypatch):
+        spawned = []
+        real_executor = simulator_module.ProcessPoolExecutor
+
+        def counting_executor(*args, **kwargs):
+            spawned.append(kwargs["max_workers"])
+            return real_executor(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "ProcessPoolExecutor", counting_executor)
+        pool = SimulatorPool("arm", n_parallel=2, trace_options=TRACE, backend="processes")
+        first = pool.run_many(programs[:3])
+        assert spawned == [2]
+        spawned.clear()
+        second = pool.run_many(programs[:3])
+        assert spawned == []  # a fully memoized batch starts no worker
+        assert all(result.cached for result in second)
+        assert_bit_identical(second, first)
+        mixed = pool.run_many(programs[:4])
+        assert spawned == [1]  # one worker, for the one miss
+        assert [result.cached for result in mixed] == [True, True, True, False]
+
+    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    def test_failures_are_not_memoized(self, backend, programs, caller_memo):
+        pool = SimulatorPool(
+            "arm", n_parallel=2, trace_options=TRACE, backend=backend, timeout_s=1e-9
+        )
+        outcomes = list(pool.iter_batch_resilient(programs[:2]))
+        assert all(
+            isinstance(o, SimulationFailure) and o.kind == SimulationFailure.TIMEOUT
+            for o in outcomes
+        )
+        assert len(caller_memo) == 0
+        rerun = SimulatorPool(
+            "arm", n_parallel=2, trace_options=TRACE, backend=backend
+        ).run_many(programs[:2])
+        assert not any(result.cached for result in rerun)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +426,7 @@ class PerCandidateRunner(Runner):
     def __init__(self, score_function):
         super().__init__(n_parallel=1)
         self.simulator = Simulator(
-            "arm", trace_options=TRACE, config=RuntimeConfig(memoize=False)
+            "arm", trace_options=TRACE, config=UNMEMOIZED
         )
         self.score_function = score_function
 

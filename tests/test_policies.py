@@ -6,9 +6,9 @@ equivalence oracle.  This file pins the two policies that landed as pure
 registry additions — tree-PLRU and SRRIP — bit-identical across every
 execution layer: the vectorized NumPy engine (rank rounds and scalar
 chain tails), the native event kernel, the arena batch driver and the
-descriptor stream.  CI runs it under the full ``REPRO_SIM_NATIVE`` /
-``REPRO_SIM_ARENA`` matrix, so the same assertions cover the pure-Python
-fallbacks and the compiled fast paths.
+descriptor stream.  CI runs it with and without ``REPRO_SIM_NATIVE=0``,
+so the same assertions cover the pure-NumPy fallbacks and the compiled
+fast paths.
 
 It also pins the registry contract itself: stable wire ids (they join the
 native ABI and the memoization key), geometry validation, and one memo

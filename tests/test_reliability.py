@@ -1,8 +1,8 @@
 """Chaos test harness: deadlines, retries, crash isolation, degradation.
 
 Every test drives *real* production paths — the simulator pool, the
-autotuning measure loop, the disk memo, the native kernel dispatch and the
-dataset pipeline — under deterministic fault injection
+autotuning measure loop, the native kernel dispatch and the dataset
+pipeline — under deterministic fault injection
 (:mod:`repro.reliability.faults`).  The invariant checked throughout: a
 fault-free run and a faulty-but-recovered run produce bit-identical
 statistics (``sim.host_seconds``, a wall-clock observable, is excluded from
@@ -12,9 +12,7 @@ never an unhandled exception, never a poisoned later batch.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 import warnings
 
 import pytest
@@ -44,7 +42,6 @@ from repro.reliability import (
     DeadlineExceeded,
     InjectedFault,
     InjectedWorkerCrash,
-    MemoQuarantineWarning,
     NativeKernelDemotionWarning,
     RetryPolicy,
     current_deadline,
@@ -54,7 +51,6 @@ from repro.reliability import (
 from repro.reliability import faults
 from repro.sim import (
     RuntimeConfig,
-    SimulationCache,
     SimulationFailure,
     SimulationResult,
     Simulator,
@@ -62,11 +58,11 @@ from repro.sim import (
     TraceOptions,
 )
 from repro.sim import _native
-from repro.sim.memo import _encode_entry
 
 TRACE = TraceOptions(max_accesses=15_000)
 #: Enough work that the per-chunk deadline poll actually runs several times.
 SLOW_TRACE = TraceOptions(max_accesses=200_000, chunk_iterations=64)
+UNMEMOIZED = RuntimeConfig(memoize=False)
 
 
 @pytest.fixture(autouse=True)
@@ -368,7 +364,7 @@ class TestDeadline:
             deadline.check("trace walk")
 
     def test_simulator_run_honours_timeout(self, programs):
-        simulator = Simulator("arm", trace_options=SLOW_TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=SLOW_TRACE, config=UNMEMOIZED)
         with pytest.raises(DeadlineExceeded):
             simulator.run(programs[0], timeout_s=1e-9)
         # The same simulator still works once the budget is sane.
@@ -387,7 +383,7 @@ class TestResilientPool:
         """The per-candidate oracle: one cold ``Simulator.run`` per program."""
         faults.configure("")  # class fixtures resolve before the autouse shield
         simulator = Simulator(
-            "arm", trace_options=TRACE, config=RuntimeConfig(memoize=False)
+            "arm", trace_options=TRACE, config=UNMEMOIZED
         )
         return [flat(simulator.run(program)) for program in programs]
 
@@ -545,7 +541,7 @@ class TestNativeDegradation:
     def test_injected_fault_demotes_to_numpy_bit_identically(self, programs, restore_native):
         if not _native_available():
             pytest.skip("compiled native kernels unavailable in this environment")
-        simulator = Simulator("arm", trace_options=TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         baseline = [flat(simulator.run(p)) for p in programs]
         faults.configure("native_fault:once")
         with pytest.warns(NativeKernelDemotionWarning):
@@ -557,7 +553,7 @@ class TestNativeDegradation:
     def test_probe_failure_falls_back_to_numpy(self, programs, restore_native):
         if not _native_available():
             pytest.skip("compiled native kernels unavailable in this environment")
-        simulator = Simulator("arm", trace_options=TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         baseline = [flat(simulator.run(p)) for p in programs]
         _native._reset_for_tests()  # force the next use through the probe
         faults.configure("native_probe:once")
@@ -573,92 +569,6 @@ class TestNativeDegradation:
         assert _native.event_kernel() is None
         _native._reset_for_tests()
         assert _native.event_kernel() is not None
-
-
-# ---------------------------------------------------------------------------
-# Disk memo hardening
-# ---------------------------------------------------------------------------
-
-
-class TestMemoResilience:
-    @pytest.fixture(scope="class")
-    def stats(self, programs):
-        faults.configure("")  # class fixtures resolve before the autouse shield
-        return Simulator("arm", trace_options=TRACE, memoize=False).run(programs[0]).stats
-
-    def test_roundtrip_through_disk(self, tmp_path, stats):
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put("k" * 64, stats)
-        fresh = SimulationCache(disk_dir=tmp_path)
-        assert fresh.get("k" * 64).as_dict() == stats.as_dict()
-        assert fresh.quarantined == 0
-
-    @pytest.mark.parametrize("flavour", [0, 1, 2], ids=["truncated", "garbage", "wrong-schema"])
-    def test_read_corruption_quarantines_as_miss(self, tmp_path, stats, flavour):
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put("k" * 64, stats)
-        # Burn read-site ordinals so the rotating corruption flavour under
-        # test is the one applied to the real read below.
-        faults.configure("memo_corrupt_read")
-        registry = faults.active_registry()
-        for _ in range(flavour):
-            registry.should_inject("memo_corrupt_read")
-        fresh = SimulationCache(disk_dir=tmp_path)
-        with pytest.warns(MemoQuarantineWarning):
-            assert fresh.get("k" * 64) is None
-        assert fresh.quarantined == 1
-        quarantined = list(tmp_path.glob("*.quarantine"))
-        assert len(quarantined) == 1  # renamed aside, never deleted
-        assert not (tmp_path / ("k" * 64 + ".json")).exists()
-        # The miss is recoverable: recompute, re-store, read back clean.
-        faults.reset()
-        fresh.put("k" * 64, stats)
-        assert fresh.get("k" * 64).as_dict() == stats.as_dict()
-
-    def test_write_corruption_detected_on_next_read(self, tmp_path, stats):
-        faults.configure("memo_corrupt_write:once")
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put("k" * 64, stats)
-        faults.reset()
-        fresh = SimulationCache(disk_dir=tmp_path)
-        with pytest.warns(MemoQuarantineWarning):
-            assert fresh.get("k" * 64) is None
-
-    def test_checksum_mismatch_quarantined(self, tmp_path, stats):
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put("k" * 64, stats)
-        path = tmp_path / ("k" * 64 + ".json")
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        first_key = next(iter(entry["stats"]))
-        entry["stats"][first_key] += 1.0  # bit-rot without updating the digest
-        path.write_text(json.dumps(entry), encoding="utf-8")
-        fresh = SimulationCache(disk_dir=tmp_path)
-        with pytest.warns(MemoQuarantineWarning, match="checksum"):
-            assert fresh.get("k" * 64) is None
-
-    def test_legacy_flat_entries_still_accepted(self, tmp_path, stats):
-        flat_stats = {k: float(v) for k, v in stats.as_dict().items()}
-        (tmp_path / ("k" * 64 + ".json")).write_text(
-            json.dumps(flat_stats), encoding="utf-8"
-        )
-        cache = SimulationCache(disk_dir=tmp_path)
-        assert cache.get("k" * 64).as_dict() == stats.as_dict()
-        assert cache.quarantined == 0
-
-    def test_entries_are_checksummed_envelopes(self, stats):
-        entry = json.loads(_encode_entry({k: float(v) for k, v in stats.as_dict().items()}))
-        assert set(entry) == {"schema", "sha256", "stats"}
-
-    def test_stale_tmp_swept_young_tmp_kept(self, tmp_path):
-        stale = tmp_path / ".deadbeef.1234.tmp"
-        young = tmp_path / ".cafef00d.5678.tmp"
-        stale.write_text("{", encoding="utf-8")
-        young.write_text("{", encoding="utf-8")
-        old = time.time() - 3600.0
-        os.utime(stale, (old, old))
-        SimulationCache(disk_dir=tmp_path)
-        assert not stale.exists()  # orphan from a killed worker
-        assert young.exists()  # may belong to a live writer
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +643,7 @@ class TestDatasetResilience:
 
 #: Default acceptance profile; a CI chaos leg overrides it through the
 #: environment (``REPRO_FAULT_INJECT``) to stress different rates/seeds.
-CHAOS_PROFILE = "worker_crash:p=0.2;memo_corrupt_read:p=0.2;native_fault:once;seed=42"
+CHAOS_PROFILE = "worker_crash:p=0.2;native_fault:once;seed=42"
 
 
 class TestChaosAcceptance:

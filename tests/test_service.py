@@ -3,8 +3,8 @@
 Covers the simulation-as-a-service stack end to end against real simulation
 paths: :class:`~repro.service.ResultStore` CRUD/eviction/migration, the
 :class:`~repro.sim.RuntimeConfig` env-parity contract (``from_env()`` must
-reproduce the legacy per-variable semantics exactly), the deprecation shim on
-``Simulator``'s per-toggle kwargs, the ``repro.simulate`` facade, and the HTTP
+reproduce the legacy per-variable semantics exactly), ``Simulator``'s config
+API, the ``repro.simulate`` facade, and the HTTP
 service itself — request coalescing on duplicate digests, auth/quota
 enforcement, worker-crash containment parity with ``iter_batch_resilient``, and
 client-vs-local bit-identity (``sim.host_seconds``, a wall-clock observable,
@@ -14,6 +14,7 @@ is excluded from every comparison, as everywhere else in the suite).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sqlite3
 import threading
@@ -46,7 +47,7 @@ from repro.sim import (
     TraceOptions,
 )
 from repro.sim.engine import resolve_engine, resolve_trace_mode
-from repro.sim.memo import _encode_entry, shared_disk_cache_dir
+from repro.sim.memo import CACHE_SCHEMA_VERSION
 from repro.sim.runtime_config import ENV_SURFACE
 
 TRACE = TraceOptions(max_accesses=15_000)
@@ -55,9 +56,6 @@ TRACE = TraceOptions(max_accesses=15_000)
 ALL_ENV_VARS = (
     "REPRO_SIM_ENGINE",
     "REPRO_SIM_TRACE",
-    "REPRO_SIM_NATIVE",
-    "REPRO_SIM_ARENA",
-    "REPRO_SIM_MEMO_DIR",
     "REPRO_RETRY_ATTEMPTS",
     "REPRO_RETRY_BASE_DELAY_S",
     "REPRO_RETRY_MAX_DELAY_S",
@@ -99,6 +97,51 @@ def big_programs(big_task):
     builds = LocalBuilder().build(inputs)
     assert all(build.ok for build in builds)
     return [build.program for build in builds]
+
+
+def _memo_envelope(stats, schema=CACHE_SCHEMA_VERSION):
+    """One flat-file memo entry as older releases wrote it: a schema tag, the
+    sha256 of the canonical stats JSON and the float-normalised stats."""
+    normalised = {str(k): float(v) for k, v in stats.items()}
+    canonical = json.dumps(normalised, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps({"schema": schema, "sha256": checksum, "stats": normalised})
+
+
+#: Statistics of the flat-file memo entries the migration tests write.
+MEMO_PAYLOAD = {"cpu.num_insts": 5.0, "l2.miss_rate": 0.5}
+
+
+def _with_fields(envelope_text, **fields):
+    """``envelope_text`` with top-level fields replaced; ``...`` drops one."""
+    envelope = json.loads(envelope_text)
+    for name, value in fields.items():
+        if value is Ellipsis:
+            del envelope[name]
+        else:
+            envelope[name] = value
+    return json.dumps(envelope)
+
+
+#: Ways a flat-file memo entry can be damaged, as edits of a valid envelope:
+#: torn writes, bit-rot behind the checksum, other schema versions, wrong
+#: shapes.  None of them may be imported.
+DAMAGED_ENTRIES = {
+    "truncated": lambda good: good[: len(good) // 2],
+    "garbage": lambda good: "garbage{",
+    "empty": lambda good: "",
+    "json-array": lambda good: json.dumps([json.loads(good)]),
+    "older-schema": lambda good: _memo_envelope(MEMO_PAYLOAD, CACHE_SCHEMA_VERSION - 1),
+    "newer-schema": lambda good: _memo_envelope(MEMO_PAYLOAD, CACHE_SCHEMA_VERSION + 1),
+    "checksum-mismatch": lambda good: _with_fields(
+        good, stats={**MEMO_PAYLOAD, "cpu.num_insts": 6.0}
+    ),
+    "no-checksum": lambda good: _with_fields(good, sha256=...),
+    "no-stats": lambda good: _with_fields(good, stats=...),
+    "stats-not-object": lambda good: _with_fields(good, stats=list(MEMO_PAYLOAD.values())),
+    "non-numeric-stat": lambda good: _with_fields(good, stats={"cpu.num_insts": "fast"}),
+    "null-stat": lambda good: _with_fields(good, stats={"cpu.num_insts": None}),
+}
 
 
 def flat(result):
@@ -192,32 +235,80 @@ class TestResultStore:
         store.close()
 
     def test_import_disk_cache_envelopes(self, tmp_path):
-        memo_dir = tmp_path / "memo"
-        memo_dir.mkdir()
+        legacy_dir = tmp_path / "memo"
+        legacy_dir.mkdir()
         payload = {"cpu.num_insts": 5.0, "l2.miss_rate": 0.5}
-        (memo_dir / "aaa.json").write_text(_encode_entry(payload), encoding="utf-8")
-        (memo_dir / "bad.json").write_text("garbage{", encoding="utf-8")
-        (memo_dir / "stale.json").write_text(
-            json.dumps({"schema": 999, "sha256": "x", "stats": {}}), encoding="utf-8"
+        (legacy_dir / "aaa.json").write_text(_memo_envelope(payload), encoding="utf-8")
+        (legacy_dir / "bad.json").write_text("garbage{", encoding="utf-8")
+        (legacy_dir / "stale.json").write_text(
+            _memo_envelope(payload, schema=CACHE_SCHEMA_VERSION - 1), encoding="utf-8"
         )
+        rotted = json.loads(_memo_envelope(payload))
+        rotted["stats"]["cpu.num_insts"] += 1.0  # bit-rot behind the checksum
+        (legacy_dir / "rotted.json").write_text(json.dumps(rotted), encoding="utf-8")
         store = ResultStore(":memory:")
-        assert store.import_disk_cache(memo_dir) == 1
+        assert store.import_disk_cache(legacy_dir) == 1
         assert store.get("aaa") == payload
         assert len(store) == 1
         store.close()
 
-    def test_import_real_memo_dir_roundtrip(self, tmp_path, programs):
-        """Migration path: a flat-file memo written by a real simulation."""
-        memo_dir = tmp_path / "memo"
-        cache = SimulationCache(disk_dir=memo_dir)
-        simulator = Simulator("arm", trace_options=TRACE, memo_cache=cache)
-        result = simulator.run(programs[0])
-        store = ResultStore(":memory:")
-        assert store.import_disk_cache(memo_dir) == 1
-        key = SimulationCache.make_key(
-            programs[0], simulator.hierarchy_config, TRACE, simulator.engine
+    def test_import_skips_unversioned_entries(self, tmp_path):
+        """A pre-envelope flat entry carries no schema tag: its statistics
+        may come from an older simulator, so it must not be imported under
+        a digest that looks current."""
+        legacy_dir = tmp_path / "memo"
+        legacy_dir.mkdir()
+        (legacy_dir / "legacy.json").write_text(
+            json.dumps({"cpu.num_insts": 1.0}), encoding="utf-8"
         )
-        assert store.get(key) == dict(result.stats.as_dict())
+        store = ResultStore(":memory:")
+        assert store.import_disk_cache(legacy_dir) == 0
+        assert "legacy" not in store
+        store.close()
+
+    @pytest.mark.parametrize("damage", list(DAMAGED_ENTRIES))
+    def test_import_skips_damaged_entry(self, tmp_path, damage):
+        """A damaged entry is skipped without stopping the migration, and the
+        migration only reads: the damaged bytes stay for a post-mortem."""
+        legacy_dir = tmp_path / "memo"
+        legacy_dir.mkdir()
+        good = _memo_envelope(MEMO_PAYLOAD)
+        damaged = DAMAGED_ENTRIES[damage](good)
+        (legacy_dir / "damaged.json").write_text(damaged, encoding="utf-8")
+        (legacy_dir / "good.json").write_text(good, encoding="utf-8")
+        store = ResultStore(":memory:")
+        assert store.import_disk_cache(legacy_dir) == 1
+        assert store.get("good") == MEMO_PAYLOAD
+        assert "damaged" not in store
+        assert (legacy_dir / "damaged.json").read_text(encoding="utf-8") == damaged
+        store.close()
+
+    def test_import_reads_only_entry_files(self, tmp_path):
+        """Older releases left write scratch (``.<digest>.<pid>.tmp``) and
+        quarantined entries (``<digest>.json.quarantine``) beside their
+        entries; neither is an entry, whatever it holds."""
+        legacy_dir = tmp_path / "memo"
+        legacy_dir.mkdir()
+        good = _memo_envelope(MEMO_PAYLOAD)
+        (legacy_dir / ".scratch.123.tmp").write_text(good, encoding="utf-8")
+        (legacy_dir / "quarantined.json.quarantine").write_text(good, encoding="utf-8")
+        store = ResultStore(":memory:")
+        assert store.import_disk_cache(legacy_dir) == 0
+        assert len(store) == 0
+        store.close()
+
+    def test_import_real_memo_dir_roundtrip(self, tmp_path, programs):
+        """Migration path: a flat-file memo entry of a real simulation."""
+        legacy_dir = tmp_path / "memo"
+        legacy_dir.mkdir()
+        simulator = Simulator("arm", trace_options=TRACE, config=RuntimeConfig(memoize=False))
+        result = simulator.run(programs[0])
+        (legacy_dir / f"{result.sim_digest}.json").write_text(
+            _memo_envelope(result.flat_stats()), encoding="utf-8"
+        )
+        store = ResultStore(":memory:")
+        assert store.import_disk_cache(legacy_dir) == 1
+        assert store.get(result.sim_digest) == dict(result.stats.as_dict())
         store.close()
 
     def test_cache_store_backend_roundtrip(self, programs):
@@ -259,33 +350,28 @@ ENV_CASES = [
     {},
     {"REPRO_SIM_ENGINE": "reference"},
     {"REPRO_SIM_TRACE": "expanded"},
-    {"REPRO_SIM_NATIVE": "0", "REPRO_SIM_ARENA": "0"},
     {
         "REPRO_RETRY_ATTEMPTS": "3",
         "REPRO_RETRY_BASE_DELAY_S": "0.01",
         "REPRO_RETRY_MAX_DELAY_S": "0.5",
         "REPRO_RETRY_SEED": "9",
     },
-    {"REPRO_SIM_MEMO_DIR": "@tmp"},
 ]
 
 
 class TestRuntimeConfig:
     @pytest.mark.parametrize("env", ENV_CASES, ids=lambda env: ",".join(env) or "clean")
-    def test_from_env_matches_legacy_semantics(self, env, monkeypatch, tmp_path):
+    def test_from_env_matches_legacy_semantics(self, env, monkeypatch):
         """``from_env()`` must reproduce every legacy env-var reader exactly."""
         for name in ALL_ENV_VARS:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
-            monkeypatch.setenv(name, str(tmp_path) if value == "@tmp" else value)
+            monkeypatch.setenv(name, value)
         config = RuntimeConfig.from_env()
         assert config.resolved_engine() == resolve_engine(None)
         engine = config.resolved_engine()
         assert config.resolved_trace(engine) == resolve_trace_mode(None, engine)
-        assert config.resolved_native() == (env.get("REPRO_SIM_NATIVE") != "0")
-        assert config.resolved_arena() == (env.get("REPRO_SIM_ARENA") != "0")
         assert config.resolved_retry() == RetryPolicy.from_env()
-        assert config.resolved_memo_dir() == str(shared_disk_cache_dir())
         assert config.resolved_memoize() is True
 
     def test_default_config_defers_to_env(self, monkeypatch):
@@ -298,19 +384,19 @@ class TestRuntimeConfig:
 
     def test_from_env_pins_against_later_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        monkeypatch.setenv("REPRO_SIM_ARENA", "0")
+        monkeypatch.setenv("REPRO_SIM_TRACE", "expanded")
         config = RuntimeConfig.from_env()
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        monkeypatch.delenv("REPRO_SIM_ARENA")
+        monkeypatch.delenv("REPRO_SIM_TRACE")
         assert config.resolved_engine() == "reference"
-        assert config.resolved_arena() is False
+        assert config.resolved_trace("vectorized") == "expanded"
 
     def test_explicit_fields_override_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        monkeypatch.setenv("REPRO_SIM_ARENA", "1")
-        config = RuntimeConfig(engine="reference", arena=False)
+        monkeypatch.setenv("REPRO_SIM_TRACE", "descriptor")
+        config = RuntimeConfig(engine="reference", trace="expanded")
         assert config.resolved_engine() == "reference"
-        assert config.resolved_arena() is False
+        assert config.resolved_trace("vectorized") == "expanded"
 
     def test_with_overrides_rejects_unknown_fields(self):
         config = RuntimeConfig()
@@ -328,40 +414,36 @@ class TestRuntimeConfig:
             RuntimeConfig(timeout_s=-1.0).validate()
         assert RuntimeConfig().validate() is not None
 
-    def test_describe_covers_the_documented_surface(self):
+    def test_describe_covers_the_documented_surface(self, monkeypatch):
         rows = RuntimeConfig.from_env().describe()
         assert [row[0] for row in rows] == [name for name, _, _ in ENV_SURFACE]
         assert all(len(row) == 3 and all(row) for row in rows)
-
-    def test_apply_process_toggles(self, monkeypatch):
-        for name in ("REPRO_SIM_NATIVE", "REPRO_SIM_ARENA"):
-            monkeypatch.delenv(name, raising=False)
-        import os
-
-        RuntimeConfig(native=False, arena=True).apply_process_toggles()
-        assert os.environ["REPRO_SIM_NATIVE"] == "0"
-        assert os.environ["REPRO_SIM_ARENA"] == "1"
+        # The process-wide native switch is reported, though not a field.
+        monkeypatch.setenv("REPRO_SIM_NATIVE", "0")
+        assert ("native", "REPRO_SIM_NATIVE", "off") in RuntimeConfig().describe()
 
 
 # ---------------------------------------------------------------------------
-# Simulator config API (deprecation shim) and the repro.simulate facade
+# Simulator config API and the repro.simulate facade
 # ---------------------------------------------------------------------------
+
+
+#: Simulator and RuntimeConfig settings that no longer exist: each must fail
+#: loudly instead of being accepted and ignored.
+REMOVED_SETTINGS = {
+    "RuntimeConfig-native": lambda: RuntimeConfig(native=False),
+    "RuntimeConfig-arena": lambda: RuntimeConfig(arena=False),
+    "Simulator-engine": lambda: Simulator("arm", engine="reference"),
+    "Simulator-memoize": lambda: Simulator("arm", memoize=False),
+    "Simulator-positional-engine": lambda: Simulator("arm", None, TRACE, "reference"),
+}
 
 
 class TestSimulatorConfigAPI:
-    def test_legacy_engine_kwarg_warns_but_works(self, programs):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            legacy = Simulator("arm", trace_options=TRACE, engine="reference")
-        assert legacy.engine == "reference"
-        modern = Simulator(
-            "arm", trace_options=TRACE, config=RuntimeConfig(engine="reference")
-        )
-        assert flat(legacy.run(programs[0])) == flat(modern.run(programs[0]))
-
-    def test_legacy_memoize_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="memoize"):
-            simulator = Simulator("arm", trace_options=TRACE, memoize=False)
-        assert simulator.memoize is False
+    @pytest.mark.parametrize("setting", list(REMOVED_SETTINGS))
+    def test_removed_settings_are_rejected(self, setting):
+        with pytest.raises(TypeError):
+            REMOVED_SETTINGS[setting]()
 
     def test_config_path_is_warning_free(self):
         with warnings.catch_warnings():
@@ -647,6 +729,17 @@ class TestServeCli:
         output = capsys.readouterr().out
         assert "runtime configuration" in output
         assert "configuration OK" in output
+
+    def test_serve_check_reports_the_native_switch(self, monkeypatch, capsys, tmp_path):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SIM_NATIVE", "0")
+        assert main(["serve", "--check", "--db", str(tmp_path / "svc.db")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if "environment variable" in line)
+        assert header.split()[0] == "setting"
+        (native,) = [line for line in lines if "REPRO_SIM_NATIVE" in line]
+        assert native.split() == ["native", "REPRO_SIM_NATIVE", "off"]
 
     def test_serve_check_rejects_bad_engine(self, monkeypatch, capsys):
         from repro.cli import main

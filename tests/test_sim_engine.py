@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.codegen import Target, build_program
 from repro.sim import (
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
+    AtomicSimpleCPU,
     Cache,
     CacheConfig,
     CacheHierarchy,
@@ -22,10 +24,13 @@ from repro.sim import (
     CacheLevelConfig,
     MainMemory,
     ReplacementPolicy,
+    RuntimeConfig,
     SimulationCache,
+    SimulationResult,
     Simulator,
     SimulatorPool,
     TraceOptions,
+    default_simulation_cache,
     hierarchy_with_replacement,
     resolve_engine,
     victim_rank,
@@ -80,7 +85,7 @@ class TestEngineSelection:
         explicit = Simulator(
             "arm",
             trace_options=TraceOptions(engine=ENGINE_REFERENCE),
-            engine=ENGINE_VECTORIZED,
+            config=RuntimeConfig(engine=ENGINE_VECTORIZED),
         )
         assert explicit.engine == ENGINE_VECTORIZED
 
@@ -174,10 +179,12 @@ class TestEngineEquivalence:
     def test_simulator_engine_equivalence(self, conv_program_x86):
         options = TraceOptions(max_accesses=30_000)
         ref = Simulator(
-            "x86", trace_options=options, engine=ENGINE_REFERENCE, memoize=False
+            "x86", trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_REFERENCE, memoize=False),
         ).run(conv_program_x86)
         vec = Simulator(
-            "x86", trace_options=options, engine=ENGINE_VECTORIZED, memoize=False
+            "x86", trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_VECTORIZED, memoize=False),
         ).run(conv_program_x86)
         left, right = ref.flat_stats(), vec.flat_stats()
         left.pop("sim.host_seconds")
@@ -318,7 +325,7 @@ class TestRandomReplacement:
 
     def test_random_hierarchy_simulator_equivalence(self, conv_program_x86):
         """Reference vs vectorized(+descriptor) through a full random hierarchy."""
-        config = CacheHierarchyConfig(
+        hierarchy = CacheHierarchyConfig(
             name="tiny-random",
             l1d=CacheLevelConfig(4 * 64 * 2, 4, 2, replacement=ReplacementPolicy.RANDOM),
             l1i=CacheLevelConfig(4 * 64 * 2, 4, 2, replacement=ReplacementPolicy.RANDOM),
@@ -327,10 +334,12 @@ class TestRandomReplacement:
         )
         options = TraceOptions(max_accesses=30_000, rng_seed=13)
         ref = Simulator(
-            "x86", config, trace_options=options, engine=ENGINE_REFERENCE, memoize=False
+            "x86", hierarchy, trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_REFERENCE, memoize=False),
         ).run(conv_program_x86)
         vec = Simulator(
-            "x86", config, trace_options=options, engine=ENGINE_VECTORIZED, memoize=False
+            "x86", hierarchy, trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_VECTORIZED, memoize=False),
         ).run(conv_program_x86)
         left, right = ref.flat_stats(), vec.flat_stats()
         left.pop("sim.host_seconds")
@@ -490,56 +499,18 @@ class TestMemoization:
         assert memo.get("key0") is None  # evicted
         assert memo.get("key2") is not None
 
-    def test_disk_cache_roundtrip(self, tmp_path, conv_program_x86):
-        options = TraceOptions(max_accesses=5_000)
-        first_memo = SimulationCache(maxsize=4, disk_dir=tmp_path)
-        simulator = Simulator("x86", trace_options=options, memo_cache=first_memo)
-        fresh = simulator.run(conv_program_x86)
-        # A brand-new in-memory cache backed by the same directory hits disk.
-        second_memo = SimulationCache(maxsize=4, disk_dir=tmp_path)
-        reloaded = Simulator("x86", trace_options=options, memo_cache=second_memo).run(
-            conv_program_x86
-        )
-        assert reloaded.cached
-        left, right = fresh.flat_stats(), reloaded.flat_stats()
-        left.pop("sim.host_seconds")
-        right.pop("sim.host_seconds")
-        assert left == right
-
-    def test_disk_load_happens_outside_lock(self, tmp_path, monkeypatch):
-        """``get`` must not hold the store lock across disk reads — the
-        ``threads`` pool backend would otherwise serialize behind file I/O."""
-        from repro.sim.stats import SimulationStats
-
-        memo = SimulationCache(maxsize=4, disk_dir=tmp_path)
-        stats = SimulationStats()
-        stats.group("sim").set("trace_accesses", 1.0)
-        memo.put("key", stats)
-        memo.clear()  # force the next get through the disk layer
-        original = SimulationCache._load_from_disk
-        observed = {}
-
-        def spying_load(self, key):
-            observed["locked"] = self._lock.locked()
-            return original(self, key)
-
-        monkeypatch.setattr(SimulationCache, "_load_from_disk", spying_load)
-        assert memo.get("key") is not None
-        assert observed["locked"] is False
-
-    def test_concurrent_get_put_and_len(self, tmp_path):
-        """Hammer one disk-backed cache from many threads: every lookup sees
-        a consistent snapshot and the LRU bound holds throughout."""
+    def test_concurrent_get_put_and_len(self):
+        """Hammer one cache from many threads: every lookup sees a
+        consistent snapshot and the LRU bound holds throughout."""
         import threading
 
         from repro.sim.stats import SimulationStats
 
-        memo = SimulationCache(maxsize=6, disk_dir=tmp_path)
-        seeder = SimulationCache(maxsize=6, disk_dir=tmp_path)
+        memo = SimulationCache(maxsize=6)
         for index in range(8):
             stats = SimulationStats()
             stats.group("sim").set("trace_accesses", float(index))
-            seeder.put(f"key{index}", stats)
+            memo.put(f"key{index}", stats)
         errors = []
 
         def worker():
@@ -567,7 +538,9 @@ class TestMemoization:
 
     def test_memoize_disabled(self, conv_program_x86):
         options = TraceOptions(max_accesses=5_000)
-        simulator = Simulator("x86", trace_options=options, memoize=False)
+        simulator = Simulator(
+            "x86", trace_options=options, config=RuntimeConfig(memoize=False)
+        )
         assert simulator.memo_cache is None
         assert not simulator.run(conv_program_x86).cached
         assert not simulator.run(conv_program_x86).cached
@@ -580,32 +553,39 @@ class TestMemoization:
         runs = Simulator("x86", trace_options=options, memo_cache=memo).run(conv_program_x86)
         assert runs.cached
 
-    def test_process_pool_shares_memo_through_disk(self, tmp_path, conv_program_x86):
-        options = TraceOptions(max_accesses=5_000)
-        pool = SimulatorPool(
+    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    def test_pool_memoizes_in_the_caller(self, backend, conv_program_x86, matmul_func):
+        """Every backend memoizes through the caller's default cache: a
+        repeated batch is served cached and bit-identical, and an
+        unmemoized pool never touches that cache."""
+        programs = [conv_program_x86, build_program(matmul_func, Target.x86())]
+        # Trace options unique to this case keep its memo keys fresh.
+        offset = SimulatorPool.BACKENDS.index(backend)
+        options = TraceOptions(max_accesses=4_000 + offset)
+        pool = SimulatorPool("x86", n_parallel=2, trace_options=options, backend=backend)
+        first = pool.run_many(programs)
+        second = pool.run_many(programs)
+        assert not any(result.cached for result in first)
+        assert all(result.cached for result in second)
+        for cold, warm in zip(first, second):
+            assert warm.sim_digest == cold.sim_digest
+            left, right = cold.flat_stats(), warm.flat_stats()
+            left.pop("sim.host_seconds")
+            right.pop("sim.host_seconds")
+            assert left == right
+
+        memo = default_simulation_cache()
+        before = (memo.hits, memo.misses)
+        unmemoized = SimulatorPool(
             "x86",
             n_parallel=2,
-            trace_options=options,
-            backend="processes",
-            memo_dir=str(tmp_path),
-        )
-        first = pool.run_many([conv_program_x86, conv_program_x86])
-        assert list(tmp_path.glob("*.json")), "workers should persist results to disk"
-        # A fresh pool (new processes, empty in-memory caches) is served
-        # entirely from the shared disk layer.
-        second = SimulatorPool(
-            "x86",
-            n_parallel=2,
-            trace_options=options,
-            backend="processes",
-            memo_dir=str(tmp_path),
-        ).run_many([conv_program_x86])
-        assert second[0].cached
-        left = first[0].flat_stats()
-        right = second[0].flat_stats()
-        left.pop("sim.host_seconds")
-        right.pop("sim.host_seconds")
-        assert left == right
+            trace_options=TraceOptions(max_accesses=4_100 + offset),
+            backend=backend,
+            config=RuntimeConfig(memoize=False),
+        ).run_many(programs)
+        assert all(isinstance(r, SimulationResult) and not r.cached for r in unmemoized)
+        assert (memo.hits, memo.misses) == before
+        assert all(memo.get(result.sim_digest) is None for result in unmemoized)
 
 
 class TestProgramDigest:
@@ -637,8 +617,7 @@ class TestArenaBatching:
     foreign call per cache level and forwards the combined miss stream to
     the next level in one batch; every statistic must match both the
     per-chunk descriptor path and the reference per-access loop, for every
-    replacement policy, across the ``REPRO_SIM_ARENA`` toggle and the
-    no-kernel fallback.
+    replacement policy, and the no-kernel fallback.
     """
 
     TINY = CacheHierarchyConfig(
@@ -648,25 +627,58 @@ class TestArenaBatching:
         l2=CacheLevelConfig(8 * 64 * 2, 8, 2),
     )
 
-    def _flat(self, program, monkeypatch, arena, engine=ENGINE_VECTORIZED, rng_seed=0):
-        monkeypatch.setenv("REPRO_SIM_ARENA", "1" if arena else "0")
+    @staticmethod
+    def _simulated(program, hierarchy, options, engine=ENGINE_VECTORIZED, arch="x86"):
+        """Statistics of one unmemoized ``Simulator.run``."""
         simulator = Simulator(
-            "x86",
-            trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-            engine=engine,
-            memoize=False,
+            arch, hierarchy, trace_options=options,
+            config=RuntimeConfig(engine=engine, memoize=False),
         )
         stats = simulator.run(program).flat_stats()
         stats.pop("sim.host_seconds")
         return stats
 
-    def test_simulator_toggle_bit_identical(self, conv_program_x86, monkeypatch):
-        batched = self._flat(conv_program_x86, monkeypatch, arena=True)
-        per_chunk = self._flat(conv_program_x86, monkeypatch, arena=False)
-        reference = self._flat(
-            conv_program_x86, monkeypatch, arena=True, engine=ENGINE_REFERENCE
+    @staticmethod
+    def _per_chunk(program, hierarchy, options):
+        """The oracle: every descriptor chunk dispatched on its own through
+        ``CacheHierarchy.access_data_descriptors``."""
+        cpu = AtomicSimpleCPU(
+            CacheHierarchy(hierarchy, engine=ENGINE_VECTORIZED, rng_seed=options.rng_seed)
+        )
+        counts = program.instruction_counts()
+        total = 0
+        for chunk in program.memory_trace_descriptors(
+            chunk_iterations=options.chunk_iterations,
+            max_accesses=options.max_accesses,
+            sample_fraction=options.sample_fraction,
+            seed=options.seed,
+        ):
+            cpu.hierarchy.access_data_descriptors(chunk)
+            total += chunk.total
+        cpu._model_instruction_fetches(program, counts)
+        stats = cpu.assemble_stats(counts, total, 0.0).as_dict()
+        stats.pop("sim.host_seconds")
+        return stats
+
+    @pytest.mark.parametrize("arch", ["x86", "arm", "riscv"])
+    def test_simulator_matches_per_chunk_dispatch(self, conv_func, arch):
+        """Each architecture's Table I hierarchy, through ``Simulator.run``."""
+        program = build_program(conv_func, getattr(Target, arch)())
+        hierarchy = Simulator(arch).hierarchy_config
+        options = TraceOptions(max_accesses=30_000)
+        batched = self._simulated(program, hierarchy, options, arch=arch)
+        per_chunk = self._per_chunk(program, hierarchy, options)
+        reference = self._simulated(
+            program, hierarchy, options, engine=ENGINE_REFERENCE, arch=arch
         )
         assert batched == per_chunk == reference
+
+    def test_arena_batching_tracks_the_batch_kernel(self, monkeypatch):
+        """Arena batching is on exactly when the compiled batch driver loaded."""
+        loaded = engine_module.descriptor_batch_kernel() is not None
+        assert engine_module.arena_batching_available() == loaded
+        monkeypatch.setattr(engine_module, "descriptor_batch_kernel", lambda: None)
+        assert not engine_module.arena_batching_available()
 
     @pytest.mark.parametrize("policy", ReplacementPolicy.ALL)
     def test_policies_through_stream(self, conv_program_x86, policy):
@@ -723,38 +735,17 @@ class TestArenaBatching:
         native.access_data_descriptor_stream(chunks)
         assert fallback.stats_dict() == native.stats_dict()
 
-    def test_env_toggle_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ARENA", raising=False)
-        assert engine_module.arena_batching_enabled()
-        monkeypatch.setenv("REPRO_SIM_ARENA", "0")
-        assert not engine_module.arena_batching_enabled()
-        assert not engine_module.arena_batching_available()
-        monkeypatch.setenv("REPRO_SIM_ARENA", "1")
-        assert engine_module.arena_batching_enabled()
-
-    def test_random_policy_arena_equivalence(self, conv_program_x86, monkeypatch):
+    def test_random_policy_arena_equivalence(self, conv_program_x86):
         """The replayable victim stream survives arena batching, per seed."""
+        hierarchy = hierarchy_with_replacement("x86", ReplacementPolicy.RANDOM)
         for rng_seed in (0, 5):
-            config = hierarchy_with_replacement("x86", ReplacementPolicy.RANDOM)
-            monkeypatch.setenv("REPRO_SIM_ARENA", "1")
-            simulator = Simulator(
-                "x86",
-                hierarchy_config=config,
-                trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-                memoize=False,
+            options = TraceOptions(max_accesses=30_000, rng_seed=rng_seed)
+            batched = self._simulated(conv_program_x86, hierarchy, options)
+            per_chunk = self._per_chunk(conv_program_x86, hierarchy, options)
+            reference = self._simulated(
+                conv_program_x86, hierarchy, options, engine=ENGINE_REFERENCE
             )
-            batched = simulator.run(conv_program_x86).flat_stats()
-            batched.pop("sim.host_seconds")
-            monkeypatch.setenv("REPRO_SIM_ARENA", "0")
-            per_chunk_sim = Simulator(
-                "x86",
-                hierarchy_config=config,
-                trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-                memoize=False,
-            )
-            per_chunk = per_chunk_sim.run(conv_program_x86).flat_stats()
-            per_chunk.pop("sim.host_seconds")
-            assert batched == per_chunk
+            assert batched == per_chunk == reference
 
     def test_scratch_pool_reused_across_hierarchies(self, conv_program_x86):
         """Fresh hierarchies share the thread's kernel scratch safely.

@@ -44,6 +44,7 @@ from repro.sim import (
     CacheHierarchy,
     CacheHierarchyConfig,
     CacheLevelConfig,
+    RuntimeConfig,
     Simulator,
     TraceOptions,
     resolve_trace_mode,
@@ -680,7 +681,7 @@ class TestTraceModePlumbing:
             simulator = Simulator(
                 "x86",
                 trace_options=TraceOptions(max_accesses=20_000, trace=trace),
-                memoize=False,
+                config=RuntimeConfig(memoize=False),
             )
             flat = simulator.run(conv_program_x86).flat_stats()
             flat.pop("sim.host_seconds")
