@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -407,24 +407,19 @@ class DescriptorChunk:
         expanding the chunk.  Grid batches stay grids: the cutoff splits the
         outermost level into fully-kept slabs (a smaller grid) plus at most
         one partially-kept slab, which recurses one level down — so a trace
-        truncated mid-grid keeps its compression.
+        truncated mid-grid keeps its compression.  ``keep == 0`` gives an
+        empty chunk; a negative ``keep`` raises :class:`ValueError`.
         """
+        if keep < 0:
+            raise ValueError(f"cannot keep a negative number of accesses ({keep})")
+        if keep == 0:
+            return DescriptorChunk(total=0, pos_bound=0)
         if keep >= self.total:
             return self
-        # Binary-search the cutoff (one past the ``keep``-th smallest member
-        # position) on the analytic member count — positions are unique, so
-        # the count is a step function and the chunk is never expanded.
-        low, high = 0, max(int(self.pos_bound), 1)
-        while low + 1 < high:
-            mid = (low + high) // 2
-            counted = sum(_count_below(batch, mid) for batch in self.batches)
-            if self.positions is not None and self.positions.size:
-                counted += int(np.count_nonzero(self.positions < mid))
-            if counted >= keep:
-                high = mid
-            else:
-                low = mid
-        cutoff = high
+        # The cutoff is one past the ``keep``-th smallest member position.
+        # Positions are unique, so the analytic member count is a step
+        # function and the chunk is never expanded.
+        cutoff = _search_cutoff(_MemberCounter(self), keep, self.total, self.pos_bound)
         batches = []
         for batch in self.batches:
             batches.extend(_clip_batch(batch, cutoff))
@@ -501,37 +496,108 @@ def _drop_outer_level(batch: AccessRunBatch, slabs: int) -> AccessRunBatch:
     return partial
 
 
-def _count_below(batch: AccessRunBatch, cutoff: int) -> int:
-    """Number of the batch's members at trace positions below ``cutoff``.
+class _MemberCounter:
+    """Counts a chunk's members below a trace position; built once per cut.
 
-    Grid batches are counted slab-analytically (mirroring
-    :func:`_clip_batch`), so the cost is per stored run and level, not per
-    member.
+    Each batch is prepared along the descent :func:`_clip_batch` takes.
+    Every grid level whose slabs tile disjoint position ranges keeps its
+    slab span, outer count, position stride and members per slab.  The
+    first level whose slabs interleave is degridded once, together with the
+    levels inside it, and the remaining runs keep their ``first_pos`` and
+    ``counts``.  A count is then a few integer operations per level plus one
+    in-place pass over each batch's innermost runs.
     """
-    if batch.grid_counts is not None:
-        slab_lo, slab_hi = _outer_slab_span(batch)
-        outer_count = int(batch.grid_counts[0])
-        outer_pos = int(batch.grid_pos_strides[0])
-        if outer_pos <= slab_hi - slab_lo:
-            return _count_below(batch.degrid(), cutoff)
-        full = min(max((cutoff - 1 - slab_hi) // outer_pos + 1, 0), outer_count)
-        counted = full * (batch.total // outer_count)
-        if full < outer_count and slab_lo + full * outer_pos < cutoff:
-            counted += _count_below(_drop_outer_level(batch, full), cutoff)
+
+    def __init__(self, chunk: DescriptorChunk):
+        self.batches = [self._prepare(batch) for batch in chunk.batches]
+        runs = max((first_pos.size for _, first_pos, _, _ in self.batches), default=0)
+        self.buffer = np.empty(runs, dtype=np.int64)  # shared by every batch's pass
+        self.span = None
+        if chunk.positions is not None and chunk.positions.size:
+            self.span = np.sort(chunk.positions)
+
+    @staticmethod
+    def _prepare(batch: AccessRunBatch):
+        levels = []
+        while batch.grid_counts is not None:
+            slab_lo, slab_hi = _outer_slab_span(batch)
+            outer_count = int(batch.grid_counts[0])
+            outer_pos = int(batch.grid_pos_strides[0])
+            if outer_pos <= slab_hi - slab_lo:
+                batch = batch.degrid()
+                break
+            levels.append((slab_lo, slab_hi, outer_count, outer_pos, batch.total // outer_count))
+            batch = _drop_outer_level(batch, 0)
+        first_pos = batch.run_first_pos()
+        counts = batch.uniform_count if batch.counts is None else batch.counts
+        return levels, first_pos, counts, batch.pos_stride
+
+    def __call__(self, cutoff: int) -> int:
+        counted = 0
+        for levels, first_pos, counts, pos_stride in self.batches:
+            below = cutoff  # the cutoff relative to the slab being descended
+            for slab_lo, slab_hi, outer_count, outer_pos, per_slab in levels:
+                full = min(max((below - 1 - slab_hi) // outer_pos + 1, 0), outer_count)
+                counted += full * per_slab
+                if full == outer_count or slab_lo + full * outer_pos >= below:
+                    break  # no partially-kept slab, so nothing deeper counts
+                below -= full * outer_pos
+            else:
+                # Run r keeps ceil((below - first_pos[r]) / pos_stride)
+                # members, clipped to [0, counts[r]].
+                buffer = self.buffer[: first_pos.size]
+                np.subtract(first_pos, below, out=buffer)
+                np.floor_divide(buffer, pos_stride, out=buffer)
+                np.negative(buffer, out=buffer)
+                np.clip(buffer, 0, counts, out=buffer)
+                counted += int(buffer.sum())
+        if self.span is not None:
+            counted += int(np.searchsorted(self.span, cutoff))
         return counted
-    first_pos = batch.run_first_pos()
-    counts = np.clip(-((first_pos - cutoff) // batch.pos_stride), 0, batch.run_counts())
-    return int(counts.sum())
+
+
+def _search_cutoff(
+    count_below: Callable[[int], int], keep: int, total: int, pos_bound: int
+) -> int:
+    """The smallest position in ``[1, pos_bound]`` with ``keep`` members below.
+
+    Each probe interpolates linearly inside the bracket ``count_below(low) <
+    keep <= count_below(high)``, which starts at ``(0, pos_bound)`` with the
+    counts ``0`` and ``total``.  A probe that fails to halve the bracket is
+    followed by one bisection step, so the search makes at most
+    ``2 * ceil(log2(pos_bound))`` counts.  Any monotone search lands on the
+    same position, so the result equals plain bisection's.
+    """
+    low, high = 0, max(int(pos_bound), 1)
+    below_low, below_high = 0, total
+    bisect_next = False
+    while low + 1 < high:
+        width = high - low
+        if bisect_next:
+            probe = low + width // 2
+        else:
+            probe = low + (keep - below_low) * width // (below_high - below_low)
+            probe = min(max(probe, low + 1), high - 1)
+        counted = count_below(probe)
+        if counted >= keep:
+            high, below_high = probe, counted
+        else:
+            low, below_low = probe, counted
+        bisect_next = not bisect_next and 2 * (high - low) > width
+    return high
 
 
 def _clip_batch(batch: AccessRunBatch, cutoff: int) -> List[AccessRunBatch]:
     """Clip any batch to member positions below ``cutoff``, keeping grids.
 
-    The emitter's grid levels tile disjoint, ascending position ranges, so
-    the outermost level splits into fully-kept slabs (the same grid with a
+    When a grid's outer slabs tile disjoint, ascending position ranges, the
+    outermost level splits into fully-kept slabs (the same grid with a
     shorter outer count) plus at most one partial slab that recurses one
     level down; only the innermost, run-level remainder is clipped per run.
-    Hand-built grids whose slabs overlap in position space fall back to
+    Slabs can also interleave in position space, and not only in hand-built
+    grids: the emitter makes such levels when the stored runs enumerate a
+    predicate digit of a loop outside a predicate-free grid level, as a
+    padding guard on an outer tile loop does.  Those levels fall back to
     clipping the degridded runs, which is always exact.
     """
     if batch.grid_counts is None:

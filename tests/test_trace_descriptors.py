@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.program import (
+    AccessRunBatch,
     Block,
     Buffer,
     DescriptorChunk,
@@ -373,6 +374,44 @@ def _promoted_load(buffer, coeffs, splits, inner_order):
     )
 
 
+def overlapping_grid_chunk() -> DescriptorChunk:
+    """A hand-built grid whose four outer slabs overlap in position space."""
+    batch = AccessRunBatch(
+        bases=np.array([0x100], dtype=np.int64),
+        stride=4,
+        pos_stride=7,
+        is_write=False,
+        uniform_count=3,
+        first_pos_start=0,
+        grid_strides=np.array([0x40], dtype=np.int64),
+        grid_counts=np.array([4], dtype=np.int64),
+        grid_pos_strides=np.array([5], dtype=np.int64),  # < run span of 14
+    )
+    return DescriptorChunk(total=12, pos_bound=32, batches=[batch])
+
+
+def mixed_span_chunk() -> DescriptorChunk:
+    """Two runs interleaved with a hand-built explicit span on odd slots."""
+    rng = np.random.default_rng(9)
+    batch = AccessRunBatch(
+        bases=np.array([0x1000, 0x8000], dtype=np.int64),
+        stride=4,
+        pos_stride=2,
+        is_write=False,
+        counts=np.array([40, 40], dtype=np.int64),
+        first_pos=np.array([0, 80], dtype=np.int64),
+    )
+    span_positions = np.arange(1, 41, 2, dtype=np.int64)  # a few odd slots
+    return DescriptorChunk(
+        total=80 + span_positions.size,
+        pos_bound=161,
+        batches=[batch],
+        addresses=rng.integers(0, 1 << 14, size=span_positions.size).astype(np.int64),
+        writes=rng.random(span_positions.size) < 0.5,
+        positions=span_positions,
+    )
+
+
 class TestGridRunBatches:
     """Multi-level grid descriptors: structure, truncation, engine collapse."""
 
@@ -401,8 +440,6 @@ class TestGridRunBatches:
         assert_stats_equal(program)
 
     def test_degrid_matches_member_addresses(self):
-        from repro.codegen.program import AccessRunBatch
-
         batch = AccessRunBatch(
             bases=np.array([0x100, 0x900], dtype=np.int64),
             stride=8,
@@ -440,23 +477,11 @@ class TestGridRunBatches:
         assert_stats_equal(program, max_accesses=keep)
 
     def test_truncate_overlapping_handbuilt_grid_falls_back(self):
-        # Slabs of the outer level overlap in position space — impossible for
-        # the built-in emitter, legal for hand-built producers: truncation
-        # must detect it and clip the degridded runs instead.
-        from repro.codegen.program import AccessRunBatch
-
-        batch = AccessRunBatch(
-            bases=np.array([0x100], dtype=np.int64),
-            stride=4,
-            pos_stride=7,
-            is_write=False,
-            uniform_count=3,
-            first_pos_start=0,
-            grid_strides=np.array([0x40], dtype=np.int64),
-            grid_counts=np.array([4], dtype=np.int64),
-            grid_pos_strides=np.array([5], dtype=np.int64),  # < run span of 14
-        )
-        chunk = DescriptorChunk(total=12, pos_bound=32, batches=[batch])
+        # Slabs of the outer level overlap in position space.  The emitter
+        # makes such levels too (see test_truncate_oracle.py); this one is
+        # hand-built, and truncation must detect it and clip the degridded
+        # runs instead.
+        chunk = overlapping_grid_chunk()
         addresses, writes = chunk.expand()
         truncated = chunk.truncate(7)
         t_addresses, t_writes = truncated.expand()
@@ -528,7 +553,6 @@ class TestSegmentSplitting:
         # adjacent-merge pass to stitch them back together.  The outputs are
         # bit-identical — splitting only removes the intermediate work.
         import repro.sim.engine as engine_module
-        from repro.codegen.program import AccessRunBatch
         from repro.sim.engine import chunk_heads
 
         run = AccessRunBatch(
@@ -734,34 +758,37 @@ class TestProgramDescriptorApi:
         chunk = DescriptorChunk(total=0, pos_bound=1)
         assert chunk.nbytes() == 0
 
+    def test_truncate_to_zero_is_empty_and_negative_raises(self):
+        batch = AccessRunBatch(
+            bases=np.array([0x100], dtype=np.int64),
+            stride=4,
+            pos_stride=1,
+            is_write=False,
+            uniform_count=10,
+            first_pos_start=0,
+        )
+        chunk = DescriptorChunk(total=10, pos_bound=10, batches=[batch])
+        empty = chunk.truncate(0)
+        assert (empty.total, empty.pos_bound, empty.batches) == (0, 0, [])
+        assert empty.addresses is None and empty.writes is None and empty.positions is None
+        addresses, writes = empty.expand()
+        assert addresses.size == 0 and writes.size == 0
+        hierarchy = CacheHierarchy(TINY_HIERARCHY, engine=ENGINE_VECTORIZED)
+        hierarchy.access_data_descriptors(empty)
+        assert hierarchy.stats_dict()["l1d"]["read_accesses"] == 0
+        with pytest.raises(ValueError, match="negative"):
+            chunk.truncate(-3)
+
     def test_mixed_chunk_with_explicit_span(self):
         # The explicit span is the escape hatch for non-affine producers; the
         # built-in emitter never creates one, so exercise the consumer
         # branches (expand, truncate, engine heads) with a hand-built chunk.
-        from repro.codegen.program import AccessRunBatch
-
-        rng = np.random.default_rng(9)
-        batch = AccessRunBatch(
-            bases=np.array([0x1000, 0x8000], dtype=np.int64),
-            stride=4,
-            pos_stride=2,
-            is_write=False,
-            counts=np.array([40, 40], dtype=np.int64),
-            first_pos=np.array([0, 80], dtype=np.int64),
-        )
-        span_positions = np.arange(1, 41, 2, dtype=np.int64)  # a few odd slots
-        chunk = DescriptorChunk(
-            total=80 + span_positions.size,
-            pos_bound=161,
-            batches=[batch],
-            addresses=rng.integers(0, 1 << 14, size=span_positions.size).astype(np.int64),
-            writes=rng.random(span_positions.size) < 0.5,
-            positions=span_positions,
-        )
+        chunk = mixed_span_chunk()
+        (batch,) = chunk.batches
         # Independent reconstruction: members ordered by trace position.
         run_addresses, run_positions = batch.member_addresses()
         all_addresses = np.concatenate([run_addresses, chunk.addresses])
-        all_positions = np.concatenate([run_positions, span_positions])
+        all_positions = np.concatenate([run_positions, chunk.positions])
         order = np.argsort(all_positions)
         addresses, writes = chunk.expand()
         assert np.array_equal(addresses.astype(np.int64), all_addresses[order])
@@ -791,7 +818,6 @@ class TestProgramDescriptorApi:
 # native head pipeline (compiled counterpart of chunk_heads)
 # ---------------------------------------------------------------------------
 
-from repro.codegen.program import AccessRunBatch  # noqa: E402
 from repro.sim._native import chunk_heads_kernel  # noqa: E402
 from repro.sim.engine import chunk_heads, native_chunk_heads  # noqa: E402
 import repro.sim.engine as engine_module  # noqa: E402
