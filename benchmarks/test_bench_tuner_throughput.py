@@ -113,7 +113,9 @@ def test_bench_tuner_throughput(results_dir):
     programs = [build.program for build in unique_builds]
 
     def run_runner(inputs, builds):
-        runner = SimulatorRunner(ARCH, trace_options=trace, memoize=False)
+        runner = SimulatorRunner(
+            ARCH, trace_options=trace, config=RuntimeConfig(memoize=False)
+        )
         results = runner.run(inputs, builds)
         assert all(result.error_no == 0 for result in results)
         return runner, results

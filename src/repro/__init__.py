@@ -48,7 +48,7 @@ def simulate(program, hierarchy=None, *, config=None, trace_options=None, timeou
     raises for a failed simulation.  ``hierarchy`` is an architecture name,
     a :class:`repro.sim.CacheHierarchyConfig`, or ``None`` (the program's own
     target); ``config`` is a :class:`repro.sim.RuntimeConfig` (defaults to
-    the env-deferring ``RuntimeConfig()``).
+    ``RuntimeConfig()``, which never reads the environment).
     """
     outcomes = simulate_batch(
         [program],

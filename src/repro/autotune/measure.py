@@ -26,7 +26,7 @@ class MeasureErrorNo:
     INSTANTIATION_ERROR = 1
     COMPILE_ERROR = 2
     RUNTIME_ERROR = 3
-    #: The candidate exceeded the runner's ``timeout_s`` simulation budget.
+    #: The candidate exceeded its simulation budget (``RuntimeConfig.timeout_s``).
     RUN_TIMEOUT = 4
     #: The worker executing the candidate died (e.g. a broken process pool).
     WORKER_CRASH = 5
@@ -105,9 +105,8 @@ class Runner:
     (Listing 3) is one such subclass.
     """
 
-    def __init__(self, n_parallel: int = 1, timeout_s: float = 0.0):
+    def __init__(self, n_parallel: int = 1):
         self.n_parallel = n_parallel
-        self.timeout_s = timeout_s
 
     def run(
         self,
@@ -135,13 +134,12 @@ def measure_batch(
     Builds happen once.  After the first run, results whose ``error_no`` is
     in ``retryable`` are re-run — only that failed slice, with the original
     build artefacts — up to ``retry.max_attempts`` total attempts with
-    deterministic backoff between rounds.  ``retry=None`` reads
-    ``REPRO_RETRY_*`` from the environment, which disables retrying by
-    default, preserving the historical single-shot behaviour.
+    deterministic backoff between rounds.  ``retry=None`` retries nothing:
+    the historical single-shot behaviour.
     """
     build_results = builder.build(measure_inputs)
     results = list(runner.run(measure_inputs, build_results))
-    policy = retry if retry is not None else RetryPolicy.from_env()
+    policy = retry if retry is not None else RetryPolicy()
     retryable_set = set(retryable)
     for attempt in range(1, policy.max_attempts):
         failed = [i for i, result in enumerate(results) if result.error_no in retryable_set]

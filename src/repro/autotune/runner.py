@@ -27,7 +27,6 @@ from repro.autotune.measure import (
 )
 from repro.autotune.registry import get_func
 from repro.hardware.board import TargetBoard
-from repro.reliability import RetryPolicy
 from repro.sim.cpu import TraceOptions
 from repro.sim.runtime_config import RuntimeConfig
 from repro.sim.simulator import SimulationFailure, SimulationResult, SimulatorPool
@@ -68,8 +67,8 @@ class LocalRunner(Runner):
     workloads on the device would disturb the measurements.
     """
 
-    def __init__(self, board: TargetBoard, timeout_s: float = 0.0):
-        super().__init__(n_parallel=1, timeout_s=timeout_s)
+    def __init__(self, board: TargetBoard):
+        super().__init__(n_parallel=1)
         self.board = board
 
     def run(
@@ -120,6 +119,9 @@ class SimulatorRunner(Runner):
     statistics, error mapping and retry accounting are bit-identical to
     one :meth:`~repro.sim.simulator.Simulator.run` per candidate, scored
     in input order.
+
+    Engine, memoization, the per-candidate budget and retries come from
+    ``config`` (default ``RuntimeConfig()``).
     """
 
     def __init__(
@@ -130,14 +132,10 @@ class SimulatorRunner(Runner):
         score_function: Optional[ScoreFunction] = None,
         backend: str = "serial",
         collect_results: bool = True,
-        engine: Optional[str] = None,
-        memoize: bool = True,
-        timeout_s: float = 0.0,
-        retry: Optional[RetryPolicy] = None,
         on_result: Optional[ResultCallback] = None,
         config: Optional[RuntimeConfig] = None,
     ):
-        super().__init__(n_parallel=n_parallel, timeout_s=timeout_s)
+        super().__init__(n_parallel=n_parallel)
         self.arch = arch
         self.trace_options = trace_options
         self.score_function = score_function
@@ -147,10 +145,6 @@ class SimulatorRunner(Runner):
             n_parallel=n_parallel,
             trace_options=trace_options,
             backend=backend,
-            engine=engine,
-            memoize=memoize,
-            timeout_s=timeout_s,
-            retry=retry,
             config=self.config,
         )
         self.collect_results = collect_results
@@ -317,7 +311,8 @@ class RunnerStatsCollector(Runner):
 
     Every successful measurement produces a paired record (simulator
     statistics, native measurement) which is exactly the training data the
-    score predictors need.
+    score predictors need.  The simulation half runs the plan of ``config``
+    (default ``RuntimeConfig()``).
     """
 
     def __init__(
@@ -327,13 +322,9 @@ class RunnerStatsCollector(Runner):
         trace_options: TraceOptions = TraceOptions(),
         n_parallel: int = 1,
         backend: str = "serial",
-        engine: Optional[str] = None,
-        memoize: bool = True,
-        timeout_s: float = 0.0,
-        retry: Optional[RetryPolicy] = None,
         config: Optional[RuntimeConfig] = None,
     ):
-        super().__init__(n_parallel=n_parallel, timeout_s=timeout_s)
+        super().__init__(n_parallel=n_parallel)
         self.board = board
         self.arch = arch or board.arch
         self.config = config if config is not None else RuntimeConfig()
@@ -342,10 +333,6 @@ class RunnerStatsCollector(Runner):
             n_parallel=n_parallel,
             trace_options=trace_options,
             backend=backend,
-            engine=engine,
-            memoize=memoize,
-            timeout_s=timeout_s,
-            retry=retry,
             config=self.config,
         )
         #: Paired training records: (measure input, simulation result, measurement record).

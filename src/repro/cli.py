@@ -15,12 +15,20 @@ benchmark regenerates; the CLI exists so the experiments can be driven
 without pytest.  ``serve`` runs the simulation service (``--check``
 validates the runtime configuration and store without binding a port) and
 ``query`` talks to a running one.
+
+``simulate`` and ``serve`` are the entry points that read the ``REPRO_SIM_*``
+and ``REPRO_RETRY_*`` variables, once, through
+:meth:`repro.sim.RuntimeConfig.from_env`; ``serve`` also reads the
+``REPRO_SERVICE_*`` knobs.  The dataset commands (``table``, ``fig5``,
+``eq4``) run the default configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.autotune.sketch import SearchTask, SketchPolicy, TuningOptions
@@ -36,7 +44,7 @@ from repro.pipeline import (
     predictor_comparison_table,
     speedup_summary,
 )
-from repro.sim import Simulator, TraceOptions
+from repro.sim import RuntimeConfig, Simulator, TraceOptions
 from repro.utils.tabulate import format_table
 from repro.workloads import conv2d_bias_relu_workload, scaled_group_params
 
@@ -88,9 +96,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     candidates = policy.sample_candidates(args.count)
     _, builds = policy.build_candidates(candidates)
     trace_options = TraceOptions(max_accesses=args.trace, rng_seed=args.rng_seed)
-    from repro.sim import RuntimeConfig
-
-    config = RuntimeConfig(replacement=args.replacement)
+    try:
+        config = RuntimeConfig.from_env()
+        if args.replacement is not None:
+            config = replace(config, replacement=args.replacement)
+    except ValueError as error:
+        print(f"invalid runtime configuration: {error}", file=sys.stderr)
+        return 2
     simulator = Simulator(args.arch, trace_options=trace_options, config=config)
     board = TargetBoard(args.arch, trace_options=trace_options, seed=args.seed)
     rows = []
@@ -159,21 +171,51 @@ def cmd_eq4(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The service knobs ``serve`` reads once at start-up:
+#: ``(setting, environment variable, parser, default)``.  ``--queue-depth``
+#: and ``--lease`` win over their variables.
+SERVICE_KNOBS = (
+    ("queue_depth", "REPRO_SERVICE_QUEUE_DEPTH", int, 256),
+    ("lease_s", "REPRO_SERVICE_LEASE_S", float, 30.0),
+    ("breaker_threshold", "REPRO_SERVICE_BREAKER_THRESHOLD", int, 3),
+    ("breaker_reset_s", "REPRO_SERVICE_BREAKER_RESET_S", float, 5.0),
+)
+
+
+def _service_knobs(args: argparse.Namespace) -> dict:
+    """The service knobs by setting name; raises ``ValueError`` on bad values."""
+    knobs = {"queue_depth": args.queue_depth, "lease_s": args.lease}
+    for name, variable, parse, default in SERVICE_KNOBS:
+        if knobs.get(name) is None:
+            knobs[name] = parse(os.environ.get(variable) or default)
+    if knobs["queue_depth"] < 0 or knobs["breaker_reset_s"] < 0 or not knobs["lease_s"] > 0:
+        raise ValueError(
+            f"queue_depth and breaker_reset_s must be >= 0 and lease_s > 0, got {knobs}"
+        )
+    return knobs
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation service (or just validate its configuration)."""
-    from repro.sim import RuntimeConfig
+    from repro.reliability import CircuitBreaker
     from repro.service import ResultStore, ServiceServer, SimulationService, Tenant
 
-    config = RuntimeConfig.from_env()
     try:
-        config.validate()
-    except (ValueError, KeyError) as error:
+        config = RuntimeConfig.from_env()
+        knobs = _service_knobs(args)
+        breaker = CircuitBreaker(
+            failure_threshold=knobs["breaker_threshold"],
+            reset_timeout_s=knobs["breaker_reset_s"],
+        )
+    except ValueError as error:
         print(f"invalid runtime configuration: {error}", file=sys.stderr)
         return 2
     if args.check:
+        rows = [list(row) for row in config.describe()]
+        rows += [[name, variable, str(knobs[name])] for name, variable, _, _ in SERVICE_KNOBS]
         print(format_table(
             ["setting", "environment variable", "resolved value"],
-            [list(row) for row in config.describe()],
+            rows,
             title="runtime configuration",
         ))
         store = ResultStore(args.db, max_entries=args.max_entries, max_age_s=args.max_age)
@@ -195,7 +237,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     trace_options = TraceOptions(max_accesses=args.trace) if args.trace else None
     service = SimulationService(
         args.arch, store, config=config, tenants=tenants, trace_options=trace_options,
-        max_queue_depth=args.queue_depth, lease_s=args.lease,
+        max_queue_depth=knobs["queue_depth"], lease_s=knobs["lease_s"], breaker=breaker,
     )
     server = ServiceServer(service, host=args.host, port=args.port)
     # SIGTERM/SIGINT trigger a graceful drain: the event loop unwinds (the
@@ -296,11 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate-window", type=float, default=1.0,
                        help="sliding rate-limit window in seconds")
     serve.add_argument("--queue-depth", type=int, default=None,
-                       help="miss-queue bound before 503 shedding "
-                       "(default: REPRO_SERVICE_QUEUE_DEPTH or 256; 0 = unbounded)")
+                       help="miss-queue bound before 503 shedding; wins over "
+                       "REPRO_SERVICE_QUEUE_DEPTH, which serve reads at start-up "
+                       "(default 256; 0 = unbounded)")
     serve.add_argument("--lease", type=float, default=None,
                        help="journal lease seconds before a claimed job is "
-                       "reclaimable (default: REPRO_SERVICE_LEASE_S or 30)")
+                       "reclaimable; wins over REPRO_SERVICE_LEASE_S, which serve "
+                       "reads at start-up (default 30)")
     serve.add_argument("--max-entries", type=int, default=100_000,
                        help="LRU bound of the result store")
     serve.add_argument("--max-age", type=float, default=0.0,

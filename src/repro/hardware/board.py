@@ -47,14 +47,12 @@ class TargetBoard:
     def characterize(self, program: Program) -> Dict[str, Dict[str, float]]:
         """Run the program's reference stream through the board's caches.
 
-        Uses the same engine/trace-representation dispatch as the simulator
-        (descriptor chunks by default on the vectorized engine), so board
-        characterisation shares the compressed-trace fast path.
+        Walks the vectorized engine on its own representation (descriptor
+        chunks), so board characterisation shares the simulator's
+        compressed-trace fast path.
         """
         hierarchy = CacheHierarchy(
-            self.hierarchy_config,
-            engine=self.trace_options.engine,
-            rng_seed=self.trace_options.rng_seed,
+            self.hierarchy_config, rng_seed=self.trace_options.rng_seed
         )
         total_accesses = run_data_trace(hierarchy, program, self.trace_options)
         stats = hierarchy.stats_dict()

@@ -53,8 +53,6 @@ class DatasetConfig:
     cooldown_s: float = 1.0
     seed: int = 0
     kernel_type: str = "conv2d_bias_relu"
-    #: Cache-simulation engine ("reference"/"vectorized"); None = default.
-    engine: Optional[str] = None
     #: Concurrent group workers: 0 = one per group (capped by CPU count),
     #: 1 = serial.  Parallel generation is bit-identical to serial.
     n_parallel: int = 0
@@ -86,11 +84,11 @@ class DatasetConfig:
                 "cooldown_s": self.cooldown_s,
                 "seed": self.seed,
                 "kernel_type": self.kernel_type,
-                # NOTE: the engine and the worker configuration are
-                # deliberately excluded from the cache key: both engines
-                # produce bit-identical statistics and group generation is
-                # order-independent, so a dataset generated under any
-                # engine/parallelism setting is valid for all of them.
+                # NOTE: the worker configuration is deliberately excluded
+                # from the cache key: group generation is order-independent,
+                # so a dataset generated under any parallelism setting is
+                # valid for all of them.  Generation runs the default
+                # RuntimeConfig, never the environment's.
             },
             sort_keys=True,
         )
@@ -167,12 +165,11 @@ def generate_group_samples(
     # Simulations stream back from the candidate-batch scheduler while the
     # loop measures earlier candidates on the board, so the two halves of a
     # training pair overlap instead of serialising; statistics are
-    # bit-identical to per-candidate Simulator.run.  A simulation failure
-    # fails the whole group, exactly like a raising per-candidate run —
-    # group-level containment and retries live in generate_dataset.
-    simulations = simulator.iter_batch(
-        [build.program for _, build in buildable], retry=RetryPolicy()
-    )
+    # bit-identical to per-candidate Simulator.run.  The default config
+    # retries nothing, so a simulation failure fails the whole group,
+    # exactly like a raising per-candidate run — group-level containment
+    # and retries live in generate_dataset.
+    simulations = simulator.iter_batch([build.program for _, build in buildable])
     for (index, build), simulation in zip(buildable, simulations):
         if len(samples) >= n_implementations:
             break
@@ -206,12 +203,12 @@ def generate_dataset(
 
     A failing group does not take down the run: its error is recorded,
     every other group completes, failed groups are re-generated serially
-    per ``retry`` (``None`` reads ``REPRO_RETRY_*``; retries are disabled
-    by default), and a :class:`DatasetGenerationError` — carrying the
-    per-group failure records *and* the partial dataset — is raised at the
-    end if any group still failed.
+    per ``retry`` (``None`` retries nothing), and a
+    :class:`DatasetGenerationError` — carrying the per-group failure
+    records *and* the partial dataset — is raised at the end if any group
+    still failed.
     """
-    trace_options = TraceOptions(max_accesses=config.trace_max_accesses, engine=config.engine)
+    trace_options = TraceOptions(max_accesses=config.trace_max_accesses)
     protocol = MeasurementProtocol(n_exe=config.n_exe, cooldown_s=config.cooldown_s)
     dataset = PredictorDataset(arch=config.arch, kernel_type=config.kernel_type)
     groups = list(config.group_parameters().items())
@@ -287,7 +284,7 @@ def generate_dataset(
 
     # Failed groups are re-generated serially (in the parent, away from any
     # broken pool), with deterministic backoff between attempts.
-    policy = retry if retry is not None else RetryPolicy.from_env()
+    policy = retry if retry is not None else RetryPolicy()
     for index in sorted(failures):
         attempts = failures[index].attempts
         while attempts < policy.max_attempts:

@@ -3,8 +3,9 @@
 The simulation/measure/pipeline stack imports this package for four
 cross-cutting facilities (see the README's "Failure semantics" section):
 
-* :mod:`repro.reliability.deadline` — cooperative deadlines, so
-  ``Runner.timeout_s`` bounds a hung candidate instead of being ignored;
+* :mod:`repro.reliability.deadline` — cooperative deadlines, so a
+  simulation budget (``RuntimeConfig.timeout_s``) bounds a hung candidate
+  instead of being ignored;
 * :mod:`repro.reliability.retry` — bounded retry with exponential backoff
   and deterministic jitter;
 * :mod:`repro.reliability.faults` — the ``REPRO_FAULT_INJECT`` registry

@@ -3,8 +3,7 @@
 The jitter draw is a pure function of ``(seed, key, attempt)`` — the same
 SplitMix64 mapping the fault registry uses — so two runs of the same retry
 schedule sleep identical durations and chaos tests replay exactly.  A policy
-with ``max_attempts=1`` disables retrying entirely, which is the default
-unless ``REPRO_RETRY_ATTEMPTS`` says otherwise.
+with ``max_attempts=1`` disables retrying entirely, which is the default.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from repro.reliability.faults import _unit_float
 
@@ -35,13 +35,18 @@ class RetryPolicy:
             raise ValueError("max_attempts must be at least 1")
 
     @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRY_*`` (attempts default 1 = disabled)."""
+    def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "RetryPolicy":
+        """Policy from ``REPRO_RETRY_*`` in ``environ`` (default ``os.environ``).
+
+        Unset variables keep the defaults (attempts 1 = disabled); unparsable
+        or out-of-range values raise ``ValueError``.
+        """
+        env = os.environ if environ is None else environ
         return cls(
-            max_attempts=int(os.environ.get("REPRO_RETRY_ATTEMPTS", "1")),
-            base_delay_s=float(os.environ.get("REPRO_RETRY_BASE_DELAY_S", "0.05")),
-            max_delay_s=float(os.environ.get("REPRO_RETRY_MAX_DELAY_S", "2.0")),
-            seed=int(os.environ.get("REPRO_RETRY_SEED", "0")),
+            max_attempts=int(env.get("REPRO_RETRY_ATTEMPTS", "1")),
+            base_delay_s=float(env.get("REPRO_RETRY_BASE_DELAY_S", "0.05")),
+            max_delay_s=float(env.get("REPRO_RETRY_MAX_DELAY_S", "2.0")),
+            seed=int(env.get("REPRO_RETRY_SEED", "0")),
         )
 
     def delay_s(self, attempt: int, key: str = "") -> float:

@@ -44,12 +44,11 @@ import asyncio
 import base64
 import json
 import math
-import os
 import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.reliability import CircuitBreaker, faults
@@ -64,20 +63,6 @@ from repro.service.worker import SimulationWorker
 #: Upper bound on accepted request bodies (pickled programs are small; a
 #: multi-megabyte body is a client bug or abuse, not a schedule).
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, str(default)))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, str(default)))
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -143,8 +128,8 @@ class SimulationService:
         hierarchy_config: Optional[CacheHierarchyConfig] = None,
         trace_options: Optional[TraceOptions] = None,
         wait_timeout_s: float = 300.0,
-        max_queue_depth: Optional[int] = None,
-        lease_s: Optional[float] = None,
+        max_queue_depth: int = 256,
+        lease_s: float = 30.0,
         breaker: Optional[CircuitBreaker] = None,
         supervise: bool = True,
         io_error_window_s: float = 60.0,
@@ -156,17 +141,10 @@ class SimulationService:
         self.tenants = dict(tenants or {})
         self.wait_timeout_s = float(wait_timeout_s)
         #: Miss-queue bound; saturation sheds with 503 (0 = unbounded).
-        self.max_queue_depth = (
-            max_queue_depth
-            if max_queue_depth is not None
-            else _env_int("REPRO_SERVICE_QUEUE_DEPTH", 256)
-        )
+        self.max_queue_depth = max_queue_depth
         #: Recent-store-trouble window for the health report.
         self.io_error_window_s = float(io_error_window_s)
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            failure_threshold=_env_int("REPRO_SERVICE_BREAKER_THRESHOLD", 3),
-            reset_timeout_s=_env_float("REPRO_SERVICE_BREAKER_RESET_S", 5.0),
-        )
+        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.cache = SimulationCache(store=store)
         self.simulator = BatchSimulator(
             arch,
@@ -178,12 +156,9 @@ class SimulationService:
         self.worker = SimulationWorker(
             self.simulator,
             timeout_s=self.config.timeout_s,
-            retry=self.config.resolved_retry(),
+            retry=self.config.retry,
             journal=store,
-            lease_s=(
-                lease_s if lease_s is not None
-                else _env_float("REPRO_SERVICE_LEASE_S", 30.0)
-            ),
+            lease_s=lease_s,
             breaker=self.breaker,
             supervise=supervise,
         )
@@ -368,11 +343,9 @@ class SimulationService:
             self.arch,
             hierarchy,
             self.simulator.trace_options,
-            config=self.config.with_overrides(memoize=False),
+            config=replace(self.config, memoize=False),
         )
-        return _attempt_program(
-            one_off, program, self.config.timeout_s, self.config.resolved_retry()
-        )
+        return _attempt_program(one_off, program, self.config.timeout_s, self.config.retry)
 
     def handle_result(self, digest: str) -> Tuple[int, dict]:
         """``GET /results/{digest}``: stored statistics, journal state or 404."""

@@ -37,8 +37,6 @@ from repro.sim.engine import (
     TRACE_MODES,
     VectorCacheState,
     arena_batching_available,
-    default_engine,
-    default_trace_mode,
     native_chunk_heads,
     resolve_engine,
     resolve_trace_mode,
@@ -87,8 +85,6 @@ __all__ = [
     "TRACE_MODES",
     "VectorCacheState",
     "arena_batching_available",
-    "default_engine",
-    "default_trace_mode",
     "native_chunk_heads",
     "resolve_engine",
     "resolve_trace_mode",

@@ -30,9 +30,9 @@ the trace.  ``CacheConfig.rng_seed`` (overridable per cache via the
 same seed and trace are bit-identical, two different seeds draw independent
 victim sequences.
 
-The engine is selected per cache via the ``engine`` constructor argument and
-defaults to :func:`repro.sim.engine.default_engine` (environment variable
-``REPRO_SIM_ENGINE`` overrides).
+The engine is selected per cache via the ``engine`` constructor argument
+(``None`` is the vectorized engine); a simulator passes its
+``RuntimeConfig.engine`` down through :class:`~repro.sim.hierarchy.CacheHierarchy`.
 """
 
 from __future__ import annotations

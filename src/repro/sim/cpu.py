@@ -24,7 +24,7 @@ from repro.sim.stats import SimulationStats
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Controls the size and representation of the simulated memory trace.
+    """Controls the size, sampling and seeds of the simulated memory trace.
 
     ``max_accesses`` bounds the total number of simulated data references;
     ``sample_fraction`` keeps a systematic random sample of trace chunks.
@@ -32,16 +32,10 @@ class TraceOptions:
     they are computed analytically, and the predictor features are ratios, so
     sampling the trace does not bias them.
 
-    ``engine`` selects the cache-simulation engine (``"reference"`` or
-    ``"vectorized"``, see :mod:`repro.sim.engine`); ``None`` uses the
-    process-wide default.  ``trace`` selects the trace representation:
-    ``"descriptor"`` streams compressed affine run descriptors from
-    :meth:`~repro.codegen.program.Program.memory_trace_descriptors` (the
-    default for the vectorized engine — it skips address materialisation
-    entirely), ``"expanded"`` materialises address chunks (the reference
-    engine's default); ``REPRO_SIM_TRACE`` overrides the default.  All
-    engine/trace combinations produce bit-identical statistics, so the
-    choices only affect host throughput and peak trace memory.
+    The options describe *which* trace is simulated, never how: the engine
+    and the trace representation come from
+    :class:`~repro.sim.runtime_config.RuntimeConfig`, and every
+    engine/representation combination produces bit-identical statistics.
     ``chunk_iterations`` trades a few MB of trace buffering for
     vectorization width: larger chunks amortize the fixed per-chunk cost of
     the vectorized engine.  Statistics are chunking-invariant when
@@ -63,23 +57,25 @@ class TraceOptions:
     chunk_iterations: int = 1 << 16
     seed: int = 0
     rng_seed: int = 0
-    engine: Optional[str] = None
-    trace: Optional[str] = None
 
 
 def run_data_trace(
-    hierarchy: CacheHierarchy, program: Program, options: TraceOptions
+    hierarchy: CacheHierarchy,
+    program: Program,
+    options: TraceOptions,
+    trace: Optional[str] = None,
 ) -> int:
     """Drive ``program``'s data trace through ``hierarchy``; returns accesses.
 
-    Honours ``options.trace``, defaulting by the hierarchy's L1D engine:
-    descriptor chunks feed
+    ``trace`` picks the representation; ``None`` is the one native to the
+    hierarchy's L1D engine (see
+    :func:`~repro.sim.engine.resolve_trace_mode`).  Descriptor chunks feed
     :meth:`CacheHierarchy.access_data_descriptor_stream` — grouped into
     packed arenas for the native batch kernel when it is available,
     per-chunk otherwise — without ever materialising the address stream;
     expanded chunks go through :meth:`CacheHierarchy.access_data_batch`.
     """
-    mode = resolve_trace_mode(options.trace, hierarchy.l1d.engine)
+    mode = resolve_trace_mode(trace, hierarchy.l1d.engine)
     # Cooperative deadline: polled once per trace chunk, so a hung or
     # pathological candidate overshoots its budget by at most one chunk of
     # work instead of blocking the caller indefinitely.  With no ambient
@@ -128,11 +124,19 @@ class AtomicSimpleCPU:
         self.hierarchy = hierarchy
         self.name = name
 
-    def run(self, program: Program, options: TraceOptions = TraceOptions()) -> SimulationStats:
-        """Execute ``program`` and return gem5-style statistics."""
+    def run(
+        self,
+        program: Program,
+        options: TraceOptions = TraceOptions(),
+        trace: Optional[str] = None,
+    ) -> SimulationStats:
+        """Execute ``program`` and return gem5-style statistics.
+
+        ``trace`` is the trace representation (see :func:`run_data_trace`).
+        """
         start = time.perf_counter()
         counts = program.instruction_counts()
-        trace_accesses = run_data_trace(self.hierarchy, program, options)
+        trace_accesses = run_data_trace(self.hierarchy, program, options, trace)
         self._model_instruction_fetches(program, counts)
         elapsed = time.perf_counter() - start
         return self.assemble_stats(counts, trace_accesses, elapsed)

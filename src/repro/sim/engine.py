@@ -130,7 +130,6 @@ unchanged.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -210,34 +209,21 @@ ARENA_ACCESS_BATCH = 1 << 21
 #: deeper (hand-built) batches fall back to the per-chunk NumPy path.
 ARENA_MAX_GRID_LEVELS = 62
 
-def default_engine() -> str:
-    """The engine used when none is requested (``REPRO_SIM_ENGINE`` overrides)."""
-    return os.environ.get("REPRO_SIM_ENGINE", ENGINE_VECTORIZED)
-
-
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate ``engine``, substituting the default when ``None``."""
-    engine = engine or default_engine()
+    """Validate ``engine``; ``None`` is the vectorized engine."""
+    engine = engine or ENGINE_VECTORIZED
     if engine not in ENGINES:
         raise ValueError(f"unknown simulation engine {engine!r}; expected one of {ENGINES}")
     return engine
 
 
-def default_trace_mode(engine: str) -> str:
-    """The trace representation used when none is requested.
-
-    ``REPRO_SIM_TRACE`` overrides; otherwise the vectorized engine consumes
-    descriptors and the reference engine consumes expanded chunks.
-    """
-    mode = os.environ.get("REPRO_SIM_TRACE")
-    if mode:
-        return mode
-    return TRACE_DESCRIPTOR if engine == ENGINE_VECTORIZED else TRACE_EXPANDED
-
-
 def resolve_trace_mode(trace: Optional[str], engine: str) -> str:
-    """Validate ``trace``, substituting the engine-appropriate default."""
-    trace = trace or default_trace_mode(engine)
+    """Validate ``trace``; ``None`` is the engine's own representation.
+
+    The vectorized engine consumes descriptors and the reference engine
+    consumes expanded chunks.
+    """
+    trace = trace or (TRACE_DESCRIPTOR if engine == ENGINE_VECTORIZED else TRACE_EXPANDED)
     if trace not in TRACE_MODES:
         raise ValueError(f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}")
     return trace

@@ -9,8 +9,8 @@ options, engine)``, its results can be cached on that key.
 :class:`SimulationCache` is an LRU-bounded in-memory store with an optional
 persistent backend (``store=``, a :class:`repro.service.ResultStore`).  Keys
 hash the program's cached content digest — computed once per program —
-together with the hierarchy and trace options, normalising out the trace
-representation, which does not affect results.  Values are stored as flat
+together with the hierarchy, trace options and engine; the trace
+representation does not affect results and is not part of the key.  Values are stored as flat
 statistics snapshots and reconstructed into fresh
 :class:`~repro.sim.stats.SimulationStats` objects on every lookup, so
 callers can never mutate a cached entry through an alias.  The store is
@@ -100,9 +100,10 @@ class SimulationCache:
 
         ``program.content_digest()`` is cached on the program, so repeated
         lookups do not re-serialise the tree.  The trace *representation*
-        (descriptor/expanded) is deliberately normalised out of the key —
-        like the two engines, both representations produce bit-identical
-        statistics, so results memoized under one serve the other.  The
+        (descriptor/expanded) is not part of the key: it travels in the
+        runtime config, not in ``trace_options``, and both representations
+        produce bit-identical statistics, so results memoized under one
+        serve the other.  The
         random-replacement ``rng_seed`` is part of the key whenever any
         hierarchy level uses a victim-stream policy — two runs with
         different seeds can never share a cached result — and is normalised
@@ -111,8 +112,6 @@ class SimulationCache:
         """
         hierarchy = asdict(hierarchy_config)
         trace = asdict(trace_options)
-        trace.pop("engine", None)  # resolved and keyed separately
-        trace.pop("trace", None)  # representation-neutral results
         if not _has_victim_stream_level(hierarchy):
             trace.pop("rng_seed", None)  # seed-neutral results
         payload = {

@@ -9,13 +9,13 @@ fallback).
 
 Two cross-cutting performance features live here:
 
-* **Engine selection** — ``engine`` picks the cache-simulation engine
-  (``"reference"`` or ``"vectorized"``, see :mod:`repro.sim.engine`) and is
-  threaded down through the hierarchy; ``TraceOptions.engine`` is honoured
-  when no explicit engine is given.  ``TraceOptions.trace`` likewise picks
-  the trace representation (descriptor runs by default on the vectorized
-  engine, expanded address chunks otherwise); all combinations are
-  bit-identical.
+* **Engine selection** — every simulator runs the plan of one
+  :class:`~repro.sim.runtime_config.RuntimeConfig`: ``config.engine``
+  (``"reference"`` or ``"vectorized"``, see :mod:`repro.sim.engine`) is
+  passed down through :class:`CacheHierarchy` to each cache, and
+  ``config.trace`` reaches the trace walk as an argument (descriptor runs
+  by default on the vectorized engine, expanded address chunks otherwise);
+  all combinations are bit-identical.
 * **Result memoization** — ``Simulator.run`` is a pure function of
   ``(program content, hierarchy config, trace options, engine)``, so results
   are served from an LRU-bounded :class:`~repro.sim.memo.SimulationCache`
@@ -50,7 +50,6 @@ from repro.sim.engine import (
     ARENA_ACCESS_BATCH,
     ARENA_CHUNK_BATCH,
     TRACE_DESCRIPTOR,
-    resolve_engine,
     resolve_trace_mode,
 )
 from repro.sim.hierarchy import CacheHierarchy, CacheHierarchyConfig
@@ -145,13 +144,10 @@ class Simulator:
     ):
         """Build a simulator for ``arch``.
 
-        Runtime toggles (engine, trace representation, memoization, retry)
-        come from ``config`` — a
-        :class:`~repro.sim.runtime_config.RuntimeConfig`, defaulting to the
-        env-deferring ``RuntimeConfig()``.  Resolution precedence, most
-        specific first: ``config`` field > ``TraceOptions`` field >
-        environment > default.  ``memo_cache`` replaces the process-wide
-        default cache of a memoizing simulator.
+        Engine, trace representation, replacement policy, memoization,
+        budget and retry come from ``config`` (default ``RuntimeConfig()``).
+        ``memo_cache`` replaces the process-wide default cache of a
+        memoizing simulator.
         """
         self.arch = arch.strip().lower()
         self.config = config if config is not None else RuntimeConfig()
@@ -161,20 +157,17 @@ class Simulator:
             # A uniform replacement override swaps the policy of every Table I
             # level while keeping the geometry; an explicit hierarchy_config
             # is authoritative and never rewritten.
-            replacement = self.config.resolved_replacement()
-            if replacement is not None:
-                hierarchy_config = hierarchy_with_replacement(self.arch, replacement)
+            if self.config.replacement is not None:
+                hierarchy_config = hierarchy_with_replacement(
+                    self.arch, self.config.replacement
+                )
             else:
                 hierarchy_config = CACHE_HIERARCHIES[self.arch]
         self.hierarchy_config = hierarchy_config
-        self.engine = resolve_engine(self.config.engine or trace_options.engine)
-        # Pin the trace representation at construction so later environment
-        # changes cannot make runs disagree with the inspected attribute.
-        self.trace = resolve_trace_mode(
-            self.config.trace or trace_options.trace, self.engine
-        )
-        self.trace_options = replace(trace_options, trace=self.trace)
-        self.memoize = self.config.resolved_memoize()
+        self.engine = self.config.engine
+        self.trace = resolve_trace_mode(self.config.trace, self.engine)
+        self.trace_options = trace_options
+        self.memoize = self.config.memoize
         self.memo_cache = memo_cache if memo_cache is not None else (
             default_simulation_cache() if self.memoize else None
         )
@@ -193,7 +186,7 @@ class Simulator:
         """
         if timeout_s is None:
             timeout_s = self.config.timeout_s
-        if timeout_s is not None and timeout_s > 0:
+        if timeout_s > 0:
             with deadline_scope(Deadline.after(timeout_s)):
                 return self._run(program)
         return self._run(program)
@@ -248,7 +241,7 @@ class Simulator:
             self.hierarchy_config, engine=self.engine, rng_seed=self.trace_options.rng_seed
         )
         cpu = AtomicSimpleCPU(hierarchy)
-        return cpu.run(program, self.trace_options)
+        return cpu.run(program, self.trace_options, self.trace)
 
 
 #: Candidates lowered and packed together per wave of the batch simulator.
@@ -324,7 +317,7 @@ class BatchSimulator(Simulator):
         """Cold-identical simulation on the shared, reset hierarchy."""
         cpu = self._shared_cpu()
         cpu.hierarchy.reset_state()
-        return cpu.run(program, self.trace_options)
+        return cpu.run(program, self.trace_options, self.trace)
 
     # -- batch execution ---------------------------------------------------
 
@@ -355,8 +348,8 @@ class BatchSimulator(Simulator):
         through :func:`_attempt_program` itself and still benefit from
         hierarchy reuse.
         """
-        retry = retry if retry is not None else self.config.resolved_retry()
-        timeout = float(timeout_s if timeout_s is not None else self.config.timeout_s or 0.0)
+        retry = retry if retry is not None else self.config.retry
+        timeout = float(timeout_s if timeout_s is not None else self.config.timeout_s)
         if self.trace != TRACE_DESCRIPTOR:
             for program in programs:
                 yield _attempt_program(self, program, timeout, retry)
@@ -618,18 +611,19 @@ def _attempt_program(
 
 
 def _run_batch_slice(
-    arch, hierarchy_config, trace_options, programs, config, timeout_s, retry
+    arch, hierarchy_config, trace_options, programs, config
 ) -> List[ResilientOutcome]:
     """Worker entry for one pool slice: a shared-hierarchy batch simulator.
 
     Used by the threads backend (memoizing through the process-wide cache)
     and the processes backend (whose workers run with ``memoize=False``:
-    the parent memoizes).  Containment happens per candidate inside
+    the parent memoizes).  Budget and retry come from ``config``.
+    Containment happens per candidate inside
     :meth:`BatchSimulator.iter_batch`, so the returned list always has one
     entry per program; only a hard worker death surfaces to the parent.
     """
     batch = BatchSimulator(arch, hierarchy_config, trace_options, config=config)
-    return list(batch.iter_batch(programs, timeout_s=timeout_s, retry=retry))
+    return list(batch.iter_batch(programs))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -664,6 +658,11 @@ class SimulatorPool:
       dispatch, only the misses travel to the workers (which run with
       ``memoize=False``), and each returned result is stored under its
       ``sim_digest``.
+
+    Engine, trace representation, memoization, the per-candidate budget
+    (``config.timeout_s``, enforced cooperatively inside lowering and the
+    trace sweep, with a pool-kill backstop on the ``processes`` backend) and
+    the retry policy all come from ``config``.
     """
 
     arch: str
@@ -671,35 +670,12 @@ class SimulatorPool:
     hierarchy_config: Optional[CacheHierarchyConfig] = None
     trace_options: TraceOptions = field(default_factory=TraceOptions)
     backend: str = "serial"  # "serial", "threads" or "processes"
-    engine: Optional[str] = None
-    memoize: bool = True
-    #: Per-candidate simulation budget in seconds (0 = unlimited).  Enforced
-    #: cooperatively inside lowering and the trace sweep, with a pool-kill
-    #: backstop on the ``processes`` backend.
-    timeout_s: float = 0.0
-    #: Retry policy for crashed or erroring candidates; ``None`` reads
-    #: ``REPRO_RETRY_*`` (retries disabled by default).
-    retry: Optional[RetryPolicy] = None
     #: How many times a broken process pool is respawned before the
     #: remaining work degrades to the ``threads`` backend.
     max_pool_respawns: int = 2
-    #: Consolidated runtime configuration.  Per-field dataclass knobs above
-    #: (``engine``/``memoize``/``timeout_s``/``retry``) override the
-    #: corresponding config fields when set, so legacy call sites keep their
-    #: exact semantics; new call sites should pass ``config`` alone.
-    config: Optional[RuntimeConfig] = None
+    config: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     BACKENDS = ("serial", "threads", "processes")
-
-    def _runtime(self) -> RuntimeConfig:
-        """The pool's effective config: legacy per-field knobs folded in."""
-        cfg = self.config if self.config is not None else RuntimeConfig()
-        return cfg.with_overrides(
-            engine=self.engine or cfg.engine,
-            memoize=cfg.resolved_memoize() and self.memoize,
-            timeout_s=self.timeout_s or cfg.timeout_s,
-            retry=self.retry or cfg.retry,
-        )
 
     def run_many(self, programs: Sequence[Program]) -> List[SimulationResult]:
         """Simulate all ``programs`` and return results in input order.
@@ -732,11 +708,12 @@ class SimulatorPool:
         per-candidate :meth:`Simulator.run` (``sim.host_seconds`` excepted).
         Four containment layers apply:
 
-        * each candidate runs under the pool's ``timeout_s`` deadline, so a
+        * each candidate runs under the ``config.timeout_s`` deadline, so a
           hung candidate yields a ``timeout`` failure instead of blocking;
         * crashed or erroring candidates are retried in isolation per
-          ``retry`` (deterministic exponential backoff), then recorded as
-          failures — the same accounting as :func:`_attempt_program`;
+          ``config.retry`` (deterministic exponential backoff), then
+          recorded as failures — the same accounting as
+          :func:`_attempt_program`;
         * a broken or wedged process pool is terminated and respawned up to
           ``max_pool_respawns`` times, re-running only unfinished slices;
         * past the respawn budget the remaining slices degrade
@@ -753,28 +730,21 @@ class SimulatorPool:
             raise ValueError(
                 f"unknown pool backend {self.backend!r}; expected one of {self.BACKENDS}"
             )
-        cfg = self._runtime()
-        retry = cfg.resolved_retry()
-        timeout_s = float(cfg.timeout_s or 0.0)
         if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
             batch = BatchSimulator(
-                self.arch, self.hierarchy_config, self.trace_options, config=cfg
+                self.arch, self.hierarchy_config, self.trace_options, config=self.config
             )
-            yield from batch.iter_batch(programs, timeout_s=timeout_s, retry=retry)
+            yield from batch.iter_batch(programs)
             return
         if self.backend == "threads":
             yield from self._iter_batch_threads(
-                self._contiguous_slices(programs), cfg, timeout_s, retry
+                self._contiguous_slices(programs), self.config
             )
             return
-        yield from self._iter_batch_processes(programs, cfg, timeout_s, retry)
+        yield from self._iter_batch_processes(programs)
 
     def _iter_batch_threads(
-        self,
-        slices: List[Sequence[Program]],
-        cfg: RuntimeConfig,
-        timeout_s: float,
-        retry: RetryPolicy,
+        self, slices: List[Sequence[Program]], cfg: RuntimeConfig
     ) -> Iterator[ResilientOutcome]:
         """One batch simulator per thread slice; yields slices in order."""
         with ThreadPoolExecutor(max_workers=len(slices)) as pool:
@@ -786,8 +756,6 @@ class SimulatorPool:
                     self.trace_options,
                     chunk,
                     cfg,
-                    timeout_s,
-                    retry,
                 )
                 for chunk in slices
             ]
@@ -802,25 +770,17 @@ class SimulatorPool:
                         stacklevel=2,
                     )
                     outcomes = _run_batch_slice(
-                        self.arch,
-                        self.hierarchy_config,
-                        self.trace_options,
-                        chunk,
-                        cfg,
-                        timeout_s,
-                        retry,
+                        self.arch, self.hierarchy_config, self.trace_options, chunk, cfg
                     )
                 yield from outcomes
 
     def _iter_batch_processes(
-        self,
-        programs: Sequence[Program],
-        cfg: RuntimeConfig,
-        timeout_s: float,
-        retry: RetryPolicy,
+        self, programs: Sequence[Program]
     ) -> Iterator[ResilientOutcome]:
         """Memoize in the caller; simulate only the misses on worker processes."""
-        parent = Simulator(self.arch, self.hierarchy_config, self.trace_options, config=cfg)
+        parent = Simulator(
+            self.arch, self.hierarchy_config, self.trace_options, config=self.config
+        )
         memo = parent.memo_cache  # None unless memoizing
         hits: List[Optional[SimulationResult]] = []
         for program in programs:
@@ -836,9 +796,7 @@ class SimulatorPool:
             hits.append(hit)
         computed = self._iter_process_slices(
             [program for program, hit in zip(programs, hits) if hit is None],
-            cfg.with_overrides(memoize=False),
-            timeout_s,
-            retry,
+            replace(self.config, memoize=False),
         )
         for hit in hits:
             if hit is not None:
@@ -850,11 +808,7 @@ class SimulatorPool:
             yield outcome
 
     def _iter_process_slices(
-        self,
-        programs: Sequence[Program],
-        cfg: RuntimeConfig,
-        timeout_s: float,
-        retry: RetryPolicy,
+        self, programs: Sequence[Program], cfg: RuntimeConfig
     ) -> Iterator[ResilientOutcome]:
         """Batch slices on worker processes with respawn and degradation.
 
@@ -882,14 +836,13 @@ class SimulatorPool:
                     self.trace_options,
                     slices[s],
                     cfg,
-                    timeout_s,
-                    retry,
                 )
             broke = False
             for s, future in futures.items():
                 # Workers enforce timeout_s per candidate cooperatively; the
                 # parent backstop covers a truly wedged worker and scales
                 # with the slice it is waiting for.
+                timeout_s = cfg.timeout_s
                 backstop = (
                     (timeout_s * 2.0 + 5.0) * len(slices[s]) if timeout_s > 0 else None
                 )
@@ -924,9 +877,7 @@ class SimulatorPool:
                     stacklevel=3,
                 )
                 flattened = list(
-                    self._iter_batch_threads(
-                        [slices[s] for s in pending], cfg, timeout_s, retry
-                    )
+                    self._iter_batch_threads([slices[s] for s in pending], cfg)
                 )
                 at = 0
                 for s in pending:

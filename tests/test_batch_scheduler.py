@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -161,12 +162,13 @@ class TestBatchSimulatorEquivalence:
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
     @pytest.mark.parametrize("trace", ["descriptor", "expanded"])
     def test_bit_identical_across_engines_and_traces(self, programs, engine, trace):
-        options = TraceOptions(max_accesses=TRACE.max_accesses, engine=engine, trace=trace)
-        serial = [
-            Simulator("arm", trace_options=options, config=UNMEMOIZED).run(p) for p in programs
-        ]
-        batch = BatchSimulator("arm", trace_options=options, config=UNMEMOIZED)
+        config = RuntimeConfig(engine=engine, trace=trace, memoize=False)
+        serial = [Simulator("arm", trace_options=TRACE, config=config).run(p) for p in programs]
+        batch = BatchSimulator("arm", trace_options=TRACE, config=config)
+        assert (batch.engine, batch.trace) == (engine, trace)
         assert_bit_identical(batch.run_batch(programs), serial)
+        oracle = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
+        assert_bit_identical(serial, [oracle.run(p) for p in programs])
 
     def test_bit_identical_without_native_kernels(self, programs, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_NATIVE", "0")
@@ -271,7 +273,7 @@ class TestBatchFailureIsolation:
         oracle = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         per_candidate = [_attempt_program(oracle, p, 0.0, retry) for p in mixed]
         pool = SimulatorPool("arm", n_parallel=n_parallel, trace_options=TRACE,
-                             backend=backend, memoize=False, retry=retry)
+                             backend=backend, config=replace(UNMEMOIZED, retry=retry))
         batched = list(pool.iter_batch_resilient(mixed))
         assert len(batched) == len(per_candidate)
         for b, s in zip(batched, per_candidate):
@@ -282,7 +284,7 @@ class TestBatchFailureIsolation:
                 assert flat(b) == flat(s)
 
     def test_run_many_raises_naming_program_and_kind(self, programs):
-        pool = SimulatorPool("arm", trace_options=TRACE, memoize=False)
+        pool = SimulatorPool("arm", trace_options=TRACE, config=UNMEMOIZED)
         with pytest.raises(RuntimeError, match=r"'broken' failed \(error\): .*synthetic"):
             pool.run_many([programs[0], _BrokenProgram()])
 
@@ -387,7 +389,8 @@ class TestPoolCallerMemo:
     @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
     def test_failures_are_not_memoized(self, backend, programs, caller_memo):
         pool = SimulatorPool(
-            "arm", n_parallel=2, trace_options=TRACE, backend=backend, timeout_s=1e-9
+            "arm", n_parallel=2, trace_options=TRACE, backend=backend,
+            config=RuntimeConfig(timeout_s=1e-9),
         )
         outcomes = list(pool.iter_batch_resilient(programs[:2]))
         assert all(
@@ -454,7 +457,7 @@ class TestRunnerBatchedEquivalence:
         builds = LocalBuilder().build(inputs)
         batched_runner = SimulatorRunner(
             "arm", trace_options=TRACE, score_function=running_mean_score(),
-            memoize=False,
+            config=UNMEMOIZED,
         )
         batched = batched_runner.run(inputs, builds)
         serial = PerCandidateRunner(running_mean_score()).run(inputs, builds)
@@ -466,7 +469,7 @@ class TestRunnerBatchedEquivalence:
     def test_duplicate_fan_out_is_independent_and_marked_cached(self, task):
         inputs = self._inputs_with_duplicates(task)
         builds = LocalBuilder().build(inputs)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        runner = SimulatorRunner("arm", trace_options=TRACE, config=UNMEMOIZED)
         runner.run(inputs, builds)
         simulations = runner.simulation_results
         assert len(simulations) == len(inputs)
@@ -480,7 +483,7 @@ class TestRunnerBatchedEquivalence:
         builds = LocalBuilder().build(inputs)
         seen = []
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False,
+            "arm", trace_options=TRACE, config=UNMEMOIZED,
             on_result=lambda position, mi, result: seen.append(position),
         )
         results = runner.run(inputs, builds)
@@ -496,7 +499,7 @@ class TestRunnerBatchedEquivalence:
         )
         seen = []
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False,
+            "arm", trace_options=TRACE, config=UNMEMOIZED,
             on_result=lambda position, mi, result: seen.append(position),
         )
         results = runner.run(inputs, builds)
@@ -509,7 +512,7 @@ class TestRunnerBatchedEquivalence:
         inputs = self._inputs_with_duplicates(task)
         builds = LocalBuilder().build(inputs)
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, timeout_s=1e-9,
+            "arm", trace_options=TRACE, config=replace(UNMEMOIZED, timeout_s=1e-9)
         )
         results = runner.run(inputs, builds)
         assert [r.error_no for r in results] == [MeasureErrorNo.RUN_TIMEOUT] * len(inputs)
@@ -522,7 +525,7 @@ class TestTunerTrajectory:
         runners = (
             SimulatorRunner(
                 "arm", trace_options=TRACE, score_function=running_mean_score(),
-                memoize=False,
+                config=UNMEMOIZED,
             ),
             PerCandidateRunner(running_mean_score()),
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -235,6 +236,9 @@ class TestRetryPolicy:
         monkeypatch.setenv("REPRO_RETRY_BASE_DELAY_S", "0.01")
         policy = RetryPolicy.from_env()
         assert policy.max_attempts == 4 and policy.base_delay_s == 0.01
+        assert RetryPolicy.from_env({"REPRO_RETRY_SEED": "9"}) == RetryPolicy(seed=9)
+        with pytest.raises(ValueError):
+            RetryPolicy.from_env({"REPRO_RETRY_ATTEMPTS": "abc"})
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +399,8 @@ class TestResilientPool:
         # even when a CI chaos leg exports an ambient profile.
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         pool = SimulatorPool(
-            "arm", n_parallel=n_parallel, backend=backend, trace_options=TRACE, memoize=False
+            "arm", n_parallel=n_parallel, backend=backend, trace_options=TRACE,
+            config=UNMEMOIZED,
         )
         outcomes = list(pool.iter_batch_resilient(programs))
         assert all(isinstance(o, SimulationResult) for o in outcomes)
@@ -403,7 +408,7 @@ class TestResilientPool:
 
     def test_serial_crash_contained_without_retry(self, programs):
         faults.configure("worker_crash:n=1", seed=7)
-        pool = SimulatorPool("arm", trace_options=TRACE, memoize=False)
+        pool = SimulatorPool("arm", trace_options=TRACE, config=UNMEMOIZED)
         outcomes = list(pool.iter_batch_resilient(programs))
         failures = [o for o in outcomes if isinstance(o, SimulationFailure)]
         assert len(failures) == 1
@@ -416,8 +421,7 @@ class TestResilientPool:
         pool = SimulatorPool(
             "arm",
             trace_options=TRACE,
-            memoize=False,
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.001),
+            config=replace(UNMEMOIZED, retry=RetryPolicy(max_attempts=3, base_delay_s=0.001)),
         )
         outcomes = list(pool.iter_batch_resilient(programs))
         assert all(isinstance(o, SimulationResult) for o in outcomes)
@@ -426,7 +430,7 @@ class TestResilientPool:
     def test_threads_crash_contained_per_program(self, programs):
         faults.configure("worker_crash:n=1", seed=3)
         pool = SimulatorPool(
-            "arm", n_parallel=3, backend="threads", trace_options=TRACE, memoize=False
+            "arm", n_parallel=3, backend="threads", trace_options=TRACE, config=UNMEMOIZED
         )
         # The crash is contained per candidate inside its slice, so no slice
         # dies and nothing degrades to serial.
@@ -439,7 +443,7 @@ class TestResilientPool:
 
     def test_timeout_becomes_failure_record(self, programs):
         pool = SimulatorPool(
-            "arm", trace_options=SLOW_TRACE, memoize=False, timeout_s=1e-9
+            "arm", trace_options=SLOW_TRACE, config=replace(UNMEMOIZED, timeout_s=1e-9)
         )
         outcomes = list(pool.iter_batch_resilient(programs[:2]))
         assert all(
@@ -460,9 +464,8 @@ class TestResilientPool:
             n_parallel=2,
             backend="processes",
             trace_options=TRACE,
-            memoize=False,
-            retry=RetryPolicy(max_attempts=1),
             max_pool_respawns=0,
+            config=UNMEMOIZED,
         )
         with pytest.warns(BackendDegradationWarning):
             outcomes = list(pool.iter_batch_resilient(programs))
@@ -485,7 +488,7 @@ class TestResilientPool:
 class TestMeasureResilience:
     def test_crash_maps_to_worker_crash_error(self, matmul_inputs):
         faults.configure("worker_crash:n=1", seed=7)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        runner = SimulatorRunner("arm", trace_options=TRACE, config=UNMEMOIZED)
         results = measure_batch(LocalBuilder(), runner, matmul_inputs)
         assert len(results) == len(matmul_inputs)
         crashed = [r for r in results if r.error_no == MeasureErrorNo.WORKER_CRASH]
@@ -496,18 +499,18 @@ class TestMeasureResilience:
 
     def test_timeout_maps_to_run_timeout_without_poisoning(self, matmul_inputs):
         runner = SimulatorRunner(
-            "arm", trace_options=SLOW_TRACE, memoize=False, timeout_s=1e-9
+            "arm", trace_options=SLOW_TRACE, config=replace(UNMEMOIZED, timeout_s=1e-9)
         )
         results = measure_batch(LocalBuilder(), runner, matmul_inputs)
         assert all(r.error_no == MeasureErrorNo.RUN_TIMEOUT for r in results)
         # A later batch on a healthy runner is unaffected.
-        healthy = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        healthy = SimulatorRunner("arm", trace_options=TRACE, config=UNMEMOIZED)
         results = measure_batch(LocalBuilder(), healthy, matmul_inputs)
         assert all(r.ok for r in results)
 
     def test_measure_batch_retries_only_failed_slice(self, matmul_inputs):
         faults.configure("worker_crash:n=1", seed=7)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        runner = SimulatorRunner("arm", trace_options=TRACE, config=UNMEMOIZED)
         results = measure_batch(
             LocalBuilder(),
             runner,
@@ -520,7 +523,7 @@ class TestMeasureResilience:
     def test_stats_collector_skips_failed_candidates(self, matmul_inputs):
         faults.configure("worker_crash:n=1", seed=7)
         board = TargetBoard("arm", trace_options=TRACE, seed=0)
-        collector = RunnerStatsCollector(board, trace_options=TRACE, memoize=False)
+        collector = RunnerStatsCollector(board, trace_options=TRACE, config=UNMEMOIZED)
         results = measure_batch(LocalBuilder(), collector, matmul_inputs)
         assert len(results) == len(matmul_inputs)
         assert sum(r.error_no == MeasureErrorNo.WORKER_CRASH for r in results) == 1
@@ -658,7 +661,7 @@ class TestChaosAcceptance:
 
         def run_batch(retry=None):
             runner = SimulatorRunner(
-                "arm", trace_options=TRACE, memoize=False, timeout_s=30.0
+                "arm", trace_options=TRACE, config=replace(UNMEMOIZED, timeout_s=30.0)
             )
             return measure_batch(builder, runner, inputs, retry=retry)
 

@@ -2,9 +2,9 @@
 
 Covers the simulation-as-a-service stack end to end against real simulation
 paths: :class:`~repro.service.ResultStore` CRUD/eviction/migration, the
-:class:`~repro.sim.RuntimeConfig` env-parity contract (``from_env()`` must
-reproduce the legacy per-variable semantics exactly), ``Simulator``'s config
-API, the ``repro.simulate`` facade, and the HTTP
+:class:`~repro.sim.RuntimeConfig` contract (``from_env()`` is the one reader
+of the simulation variables and ``RuntimeConfig()`` never reads them),
+``Simulator``'s config API, the ``repro.simulate`` facade, and the HTTP
 service itself — request coalescing on duplicate digests, auth/quota
 enforcement, worker-crash containment parity with ``iter_batch_resilient``, and
 client-vs-local bit-identity (``sim.host_seconds``, a wall-clock observable,
@@ -16,17 +16,28 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import sqlite3
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.workloads  # noqa: F401 — registers the schedule templates
-from repro.autotune import LocalBuilder, MeasureInput, create_task
+from repro.autotune import (
+    LocalBuilder,
+    LocalRunner,
+    MeasureInput,
+    RunnerStatsCollector,
+    SimulatorRunner,
+    create_task,
+)
 from repro.codegen import Target
+from repro.hardware import TargetBoard
+from repro.pipeline.dataset import DatasetConfig, generate_dataset
 from repro.reliability import RetryPolicy, faults
 from repro.service import (
     ResultStore,
@@ -38,6 +49,7 @@ from repro.service import (
     hierarchy_from_dict,
 )
 from repro.sim import (
+    CACHE_HIERARCHIES,
     RuntimeConfig,
     SimulationCache,
     SimulationFailure,
@@ -45,22 +57,42 @@ from repro.sim import (
     Simulator,
     SimulatorPool,
     TraceOptions,
+    _native,
+    arena_batching_available,
+    hierarchy_with_replacement,
 )
-from repro.sim.engine import resolve_engine, resolve_trace_mode
+from repro.sim.engine import resolve_trace_mode
 from repro.sim.memo import CACHE_SCHEMA_VERSION
 from repro.sim.runtime_config import ENV_SURFACE
 
 TRACE = TraceOptions(max_accesses=15_000)
 
-#: Every environment variable of the documented toggle surface.
-ALL_ENV_VARS = (
-    "REPRO_SIM_ENGINE",
-    "REPRO_SIM_TRACE",
-    "REPRO_RETRY_ATTEMPTS",
-    "REPRO_RETRY_BASE_DELAY_S",
-    "REPRO_RETRY_MAX_DELAY_S",
-    "REPRO_RETRY_SEED",
-)
+#: A fully set simulation environment, every value off its default.
+FULL_ENV = {
+    "REPRO_SIM_ENGINE": "reference",
+    "REPRO_SIM_TRACE": "expanded",
+    "REPRO_SIM_REPLACEMENT": "fifo",
+    "REPRO_RETRY_ATTEMPTS": "3",
+    "REPRO_RETRY_BASE_DELAY_S": "0.01",
+    "REPRO_RETRY_MAX_DELAY_S": "0.5",
+    "REPRO_RETRY_SEED": "9",
+}
+
+#: The memo key of matmul (8, 8, 8) config 0 on the Table I arm hierarchy
+#: under ``TRACE`` and the vectorized engine.  Persisted ``ResultStore``
+#: rows are addressed by such keys, so its bytes must never drift.
+MATMUL_ARM_KEY = "fdeb9f180f73787251bef4c49cb15a6bc9725a3cdb08b3c795e103ed219d67a7"
+
+#: The only modules under ``src/repro`` that may read the environment: the
+#: CLI entry points, the config reader, the native-kernel loader and the
+#: reliability knobs.
+ENV_READERS = {
+    "cli.py",
+    "sim/runtime_config.py",
+    "sim/_native.py",
+    "reliability/faults.py",
+    "reliability/retry.py",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +382,7 @@ ENV_CASES = [
     {},
     {"REPRO_SIM_ENGINE": "reference"},
     {"REPRO_SIM_TRACE": "expanded"},
+    {"REPRO_SIM_REPLACEMENT": "fifo"},
     {
         "REPRO_RETRY_ATTEMPTS": "3",
         "REPRO_RETRY_BASE_DELAY_S": "0.01",
@@ -361,26 +394,34 @@ ENV_CASES = [
 
 class TestRuntimeConfig:
     @pytest.mark.parametrize("env", ENV_CASES, ids=lambda env: ",".join(env) or "clean")
-    def test_from_env_matches_legacy_semantics(self, env, monkeypatch):
-        """``from_env()`` must reproduce every legacy env-var reader exactly."""
-        for name in ALL_ENV_VARS:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        config = RuntimeConfig.from_env()
-        assert config.resolved_engine() == resolve_engine(None)
-        engine = config.resolved_engine()
-        assert config.resolved_trace(engine) == resolve_trace_mode(None, engine)
-        assert config.resolved_retry() == RetryPolicy.from_env()
-        assert config.resolved_memoize() is True
+    def test_from_env_matches_legacy_semantics(self, env):
+        """Each variable keeps the meaning it had before the config existed."""
+        config = RuntimeConfig.from_env(env)
+        assert config.engine == env.get("REPRO_SIM_ENGINE", "vectorized")
+        assert config.trace == env.get("REPRO_SIM_TRACE")
+        assert config.replacement == env.get("REPRO_SIM_REPLACEMENT")
+        assert config.retry == RetryPolicy.from_env(env)
+        assert (config.memoize, config.timeout_s) == (True, 0.0)
+        simulator = Simulator("arm", config=config)
+        assert simulator.engine == config.engine
+        assert simulator.trace == resolve_trace_mode(config.trace, config.engine)
+        replacement = env.get("REPRO_SIM_REPLACEMENT")
+        assert simulator.hierarchy_config == (
+            hierarchy_with_replacement("arm", replacement)
+            if replacement
+            else CACHE_HIERARCHIES["arm"]
+        )
 
-    def test_default_config_defers_to_env(self, monkeypatch):
-        """A plain ``RuntimeConfig()`` keeps reading the environment at use time."""
-        config = RuntimeConfig()
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert config.resolved_engine() == "reference"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        assert config.resolved_engine() == "vectorized"
+    def test_default_config_ignores_the_environment(self, monkeypatch):
+        """``RuntimeConfig()`` is the default plan whatever is exported."""
+        for name, value in FULL_ENV.items():
+            monkeypatch.setenv(name, value)
+        assert RuntimeConfig() == RuntimeConfig.from_env({})
+        assert RuntimeConfig.from_env() == RuntimeConfig.from_env(FULL_ENV) != RuntimeConfig()
+        simulator = Simulator("arm")
+        assert (simulator.engine, simulator.trace) == ("vectorized", "descriptor")
+        assert simulator.hierarchy_config == CACHE_HIERARCHIES["arm"]
+        assert simulator.config.retry == RetryPolicy()
 
     def test_from_env_pins_against_later_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
@@ -388,39 +429,80 @@ class TestRuntimeConfig:
         config = RuntimeConfig.from_env()
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
         monkeypatch.delenv("REPRO_SIM_TRACE")
-        assert config.resolved_engine() == "reference"
-        assert config.resolved_trace("vectorized") == "expanded"
+        simulator = Simulator("arm", config=config)
+        assert (simulator.engine, simulator.trace) == ("reference", "expanded")
 
-    def test_explicit_fields_override_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        monkeypatch.setenv("REPRO_SIM_TRACE", "descriptor")
-        config = RuntimeConfig(engine="reference", trace="expanded")
-        assert config.resolved_engine() == "reference"
-        assert config.resolved_trace("vectorized") == "expanded"
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            ({"engine": "warp-drive"}, "unknown simulation engine"),
+            ({"engine": None}, "unknown simulation engine"),
+            ({"trace": "compressed"}, "unknown trace mode"),
+            ({"replacement": "mru"}, "unknown replacement policy"),
+            ({"timeout_s": -1.0}, "timeout_s"),
+        ],
+    )
+    def test_construction_rejects_nonsense(self, fields, error):
+        with pytest.raises(ValueError, match=error):
+            RuntimeConfig(**fields)
 
-    def test_with_overrides_rejects_unknown_fields(self):
-        config = RuntimeConfig()
-        derived = config.with_overrides(engine="reference", timeout_s=1.5)
-        assert derived.engine == "reference"
-        assert derived.timeout_s == 1.5
-        assert config.engine is None  # frozen original untouched
-        with pytest.raises(TypeError, match="unknown RuntimeConfig fields"):
-            config.with_overrides(enginee="reference")
+    def test_retry_must_be_a_policy(self):
+        with pytest.raises(TypeError, match="RetryPolicy"):
+            RuntimeConfig(retry=None)
 
-    def test_validate_rejects_nonsense(self):
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            RuntimeConfig(engine="warp-drive").validate()
-        with pytest.raises(ValueError, match="timeout_s"):
-            RuntimeConfig(timeout_s=-1.0).validate()
-        assert RuntimeConfig().validate() is not None
-
-    def test_describe_covers_the_documented_surface(self, monkeypatch):
-        rows = RuntimeConfig.from_env().describe()
+    def test_describe_covers_the_documented_surface(self):
+        rows = RuntimeConfig.from_env(FULL_ENV).describe()
         assert [row[0] for row in rows] == [name for name, _, _ in ENV_SURFACE]
         assert all(len(row) == 3 and all(row) for row in rows)
-        # The process-wide native switch is reported, though not a field.
-        monkeypatch.setenv("REPRO_SIM_NATIVE", "0")
-        assert ("native", "REPRO_SIM_NATIVE", "off") in RuntimeConfig().describe()
+        values = {name: value for name, _, value in rows}
+        assert (values["engine"], values["trace"], values["replacement"]) == (
+            "reference", "expanded", "fifo",
+        )
+        # The process-wide native switch is the loader's state, not a field.
+        assert values["native"] == ("on" if arena_batching_available() else "off")
+
+    def test_memo_key_bytes_are_unchanged(self, programs):
+        """Persisted store rows stay addressable, whatever representation ran."""
+        key = SimulationCache.make_key(programs[0], CACHE_HIERARCHIES["arm"], TRACE, "vectorized")
+        assert key == MATMUL_ARM_KEY
+        expanded = Simulator(
+            "arm", trace_options=TRACE, config=RuntimeConfig(trace="expanded", memoize=False)
+        ).run(programs[0])
+        assert expanded.sim_digest == MATMUL_ARM_KEY
+
+    def test_dataset_ignores_an_exported_replacement(self, monkeypatch):
+        """Dataset statistics pair with the board's Table I times: an exported
+        ``REPRO_SIM_REPLACEMENT`` must not reach the simulator behind a
+        dataset key that leaves it out."""
+        config = DatasetConfig(
+            "x86",
+            implementations_per_group=2,
+            groups=(0,),
+            n_parallel=1,
+            trace_max_accesses=20_000,
+        )
+
+        def pairs(dataset):
+            return [
+                ({k: v for k, v in s.flat_stats.items() if k != "sim.host_seconds"},
+                 s.measured_time_s)
+                for s in dataset.samples
+            ]
+
+        monkeypatch.delenv("REPRO_SIM_REPLACEMENT", raising=False)
+        clean = pairs(generate_dataset(config))
+        monkeypatch.setenv("REPRO_SIM_REPLACEMENT", "fifo")
+        assert len(clean) == 2
+        assert pairs(generate_dataset(config)) == clean
+
+    def test_only_the_entry_points_read_the_environment(self):
+        root = Path(repro.__file__).parent
+        readers = {
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
+        }
+        assert readers <= ENV_READERS, sorted(readers - ENV_READERS)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +515,21 @@ class TestRuntimeConfig:
 REMOVED_SETTINGS = {
     "RuntimeConfig-native": lambda: RuntimeConfig(native=False),
     "RuntimeConfig-arena": lambda: RuntimeConfig(arena=False),
+    "RuntimeConfig-replace-unknown": lambda: dataclasses.replace(
+        RuntimeConfig(), enginee="reference"
+    ),
     "Simulator-engine": lambda: Simulator("arm", engine="reference"),
     "Simulator-memoize": lambda: Simulator("arm", memoize=False),
     "Simulator-positional-engine": lambda: Simulator("arm", None, TRACE, "reference"),
+    "LocalRunner-timeout_s": lambda: LocalRunner(TargetBoard("arm"), timeout_s=1.0),
+    "TraceOptions-engine": lambda: TraceOptions(engine="reference"),
+    "TraceOptions-trace": lambda: TraceOptions(trace="expanded"),
+    "DatasetConfig-engine": lambda: DatasetConfig("x86", engine="reference"),
+    "SimulatorPool-memoize": lambda: SimulatorPool("arm", memoize=False),
+    "SimulatorRunner-engine": lambda: SimulatorRunner("arm", engine="reference"),
+    "RunnerStatsCollector-timeout_s": lambda: RunnerStatsCollector(
+        TargetBoard("arm"), timeout_s=1.0
+    ),
 }
 
 
@@ -664,7 +758,7 @@ class TestServiceHTTP:
             assert stats["worker"]["failures"] == 1
             # Parity with the local resilient API under the same profile.
             faults.configure("worker_crash:n=1", seed=7)
-            pool = SimulatorPool("arm", memoize=False, retry=RetryPolicy(max_attempts=1))
+            pool = SimulatorPool("arm", config=RuntimeConfig(memoize=False))
             local = list(pool.iter_batch_resilient([big_programs[1]]))[0]
             assert isinstance(local, SimulationFailure)
             assert failure.kind == local.kind
@@ -734,11 +828,35 @@ class TestServeCli:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_SIM_NATIVE", "0")
-        assert main(["serve", "--check", "--db", str(tmp_path / "svc.db")]) == 0
+        _native._reset_for_tests()  # the loader reads the switch once
+        try:
+            assert main(["serve", "--check", "--db", str(tmp_path / "svc.db")]) == 0
+        finally:
+            monkeypatch.undo()
+            _native._reset_for_tests()
         lines = capsys.readouterr().out.splitlines()
         header = next(line for line in lines if "environment variable" in line)
         assert header.split()[0] == "setting"
         (native,) = [line for line in lines if "REPRO_SIM_NATIVE" in line]
+        assert native.split() == ["native", "REPRO_SIM_NATIVE", "off"]
+
+    def test_serve_check_reports_a_failed_kernel_compile(self, monkeypatch, capsys, tmp_path):
+        """No loaded kernel reads ``off`` even though nothing switched it off."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_SIM_NATIVE", raising=False)
+        monkeypatch.setenv("CC", "/nonexistent")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
+        _native._reset_for_tests()
+        try:
+            assert main(["serve", "--check"]) == 0
+            assert not arena_batching_available()
+        finally:
+            monkeypatch.undo()
+            _native._reset_for_tests()
+        (native,) = [
+            line for line in capsys.readouterr().out.splitlines() if "REPRO_SIM_NATIVE" in line
+        ]
         assert native.split() == ["native", "REPRO_SIM_NATIVE", "off"]
 
     def test_serve_check_rejects_bad_engine(self, monkeypatch, capsys):
@@ -747,6 +865,45 @@ class TestServeCli:
         monkeypatch.setenv("REPRO_SIM_ENGINE", "warp-drive")
         assert main(["serve", "--check"]) == 2
         assert "invalid runtime configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable,value",
+        [
+            ("REPRO_RETRY_ATTEMPTS", "abc"),
+            ("REPRO_RETRY_ATTEMPTS", "0"),
+            ("REPRO_SERVICE_QUEUE_DEPTH", "25O"),
+            ("REPRO_SERVICE_QUEUE_DEPTH", "-1"),
+            ("REPRO_SERVICE_LEASE_S", "ten"),
+            ("REPRO_SERVICE_BREAKER_THRESHOLD", "0"),
+            ("REPRO_SERVICE_BREAKER_RESET_S", "soon"),
+        ],
+    )
+    def test_serve_check_rejects_bad_values(self, monkeypatch, capsys, variable, value):
+        from repro.cli import main
+
+        monkeypatch.setenv(variable, value)
+        assert main(["serve", "--check"]) == 2
+        assert "invalid runtime configuration" in capsys.readouterr().err
+
+    def test_serve_check_reports_the_service_knobs(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SERVICE_QUEUE_DEPTH", "8")
+        monkeypatch.setenv("REPRO_SERVICE_LEASE_S", "12.5")
+        monkeypatch.setenv("REPRO_SERVICE_BREAKER_THRESHOLD", "4")
+        monkeypatch.delenv("REPRO_SERVICE_BREAKER_RESET_S", raising=False)
+        assert main(["serve", "--check", "--lease", "7"]) == 0  # the flag wins
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if "REPRO_SERVICE_" in line
+        }
+        assert rows == {
+            "queue_depth": ["REPRO_SERVICE_QUEUE_DEPTH", "8"],
+            "lease_s": ["REPRO_SERVICE_LEASE_S", "7.0"],
+            "breaker_threshold": ["REPRO_SERVICE_BREAKER_THRESHOLD", "4"],
+            "breaker_reset_s": ["REPRO_SERVICE_BREAKER_RESET_S", "5.0"],
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.sim import (
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
     AtomicSimpleCPU,
+    BatchSimulator,
     Cache,
     CacheConfig,
     CacheHierarchy,
@@ -67,8 +68,9 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             resolve_engine("quantum")
 
-    def test_resolve_default(self):
-        assert resolve_engine(None) in (ENGINE_REFERENCE, ENGINE_VECTORIZED)
+    def test_resolve_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", ENGINE_REFERENCE)
+        assert resolve_engine(None) == ENGINE_VECTORIZED
 
     def test_random_policy_stays_on_requested_engine(self):
         # Until the replayable victim stream, random caches silently fell
@@ -79,15 +81,14 @@ class TestEngineSelection:
         assert Cache(config, engine=ENGINE_VECTORIZED).engine == ENGINE_VECTORIZED
         assert Cache(config, engine=ENGINE_REFERENCE).engine == ENGINE_REFERENCE
 
-    def test_trace_options_engine_threaded_to_simulator(self):
-        simulator = Simulator("arm", trace_options=TraceOptions(engine=ENGINE_REFERENCE))
-        assert simulator.engine == ENGINE_REFERENCE
-        explicit = Simulator(
-            "arm",
-            trace_options=TraceOptions(engine=ENGINE_REFERENCE),
-            config=RuntimeConfig(engine=ENGINE_VECTORIZED),
-        )
-        assert explicit.engine == ENGINE_VECTORIZED
+    def test_config_engine_threaded_to_caches(self):
+        """``RuntimeConfig.engine`` reaches every cache of the hierarchy."""
+        assert Simulator("arm").engine == ENGINE_VECTORIZED
+        for engine in (ENGINE_REFERENCE, ENGINE_VECTORIZED):
+            batch = BatchSimulator("arm", config=RuntimeConfig(engine=engine))
+            assert batch.engine == engine
+            hierarchy = batch._shared_cpu().hierarchy
+            assert {hierarchy.l1d.engine, hierarchy.l1i.engine, hierarchy.l2.engine} == {engine}
 
     def test_hierarchy_engine_threaded_to_caches(self):
         config = CacheHierarchyConfig(

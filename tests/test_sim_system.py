@@ -8,6 +8,7 @@ import pytest
 from repro.sim import (
     CACHE_HIERARCHIES,
     AtomicSimpleCPU,
+    RuntimeConfig,
     Simulator,
     SimulatorPool,
     TraceOptions,
@@ -155,14 +156,16 @@ class TestCpuAndSimulator:
 
     def test_pool_threads_backend(self, conv_program_x86, conv_program_riscv):
         serial = SimulatorPool(
-            arch="x86", trace_options=TraceOptions(max_accesses=5_000), memoize=False
+            arch="x86",
+            trace_options=TraceOptions(max_accesses=5_000),
+            config=RuntimeConfig(memoize=False),
         )
         threaded = SimulatorPool(
             arch="x86",
             n_parallel=2,
             backend="threads",
             trace_options=TraceOptions(max_accesses=5_000),
-            memoize=False,
+            config=RuntimeConfig(memoize=False),
         )
         programs = [conv_program_x86, conv_program_riscv, conv_program_x86]
         expected = [r.flat_stats() for r in serial.run_many(programs)]
