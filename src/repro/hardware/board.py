@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
+from repro.codegen.isa import InstructionCategory as IC
 from repro.codegen.program import Program
 from repro.hardware.measurement import MeasurementProtocol, MeasurementRecord
 from repro.hardware.noise import NoiseConfig, NoiseModel
 from repro.hardware.specs import CpuSpec, cpu_spec_for
 from repro.hardware.timing_model import TimingBreakdown, TimingModel
 from repro.sim.configs import CACHE_HIERARCHIES
-from repro.sim.cpu import TraceOptions, run_data_trace
-from repro.sim.hierarchy import CacheHierarchy, CacheHierarchyConfig
+from repro.sim.cpu import TraceOptions
+from repro.sim.hierarchy import CacheHierarchyConfig
+from repro.sim.simulator import Simulator
 from repro.utils.rng import new_generator
 
 
@@ -22,6 +24,15 @@ class TargetBoard:
     produces *times*: a cycle-approximate model of the CPU's pipeline and
     memory system plus measurement noise.  It also honours the paper's
     benchmarking protocol (repetitions, cooldown, median).
+
+    Its caches are the simulator's: the instruction counts and cache
+    statistics behind every time come from a memoized
+    :meth:`~repro.sim.Simulator.run` on the board's hierarchy and trace
+    options under the default :class:`~repro.sim.RuntimeConfig`.  A board
+    paired with a simulation of the same program, hierarchy and options (a
+    training pair) is served that simulation's memo entry while it is
+    cached, so the pair walks its trace once; otherwise the board
+    simulates.
     """
 
     def __init__(
@@ -44,26 +55,16 @@ class TargetBoard:
         self.timing_model = TimingModel(self.spec)
 
     # -- execution ---------------------------------------------------------
-    def characterize(self, program: Program) -> Dict[str, Dict[str, float]]:
-        """Run the program's reference stream through the board's caches.
-
-        Walks the vectorized engine on its own representation (descriptor
-        chunks), so board characterisation shares the simulator's
-        compressed-trace fast path.
-        """
-        hierarchy = CacheHierarchy(
-            self.hierarchy_config, rng_seed=self.trace_options.rng_seed
-        )
-        total_accesses = run_data_trace(hierarchy, program, self.trace_options)
-        stats = hierarchy.stats_dict()
-        stats["_meta"] = {"trace_accesses": float(total_accesses)}
-        return stats
-
     def undisturbed_time(self, program: Program) -> TimingBreakdown:
         """Execution-time estimate without any measurement noise."""
-        counts = program.instruction_counts()
-        cache_stats = self.characterize(program)
-        trace_accesses = cache_stats["_meta"]["trace_accesses"]
+        # Built per call: a stored simulator would hold the memo's lock and
+        # make the board unpicklable.
+        stats = Simulator(self.arch, self.hierarchy_config, self.trace_options).run(program).stats
+        counts = {category: stats.get(f"cpu.num_{category}") for category in IC.ALL}
+        cache_stats = {
+            level: dict(stats.group(level).items()) for level in self.hierarchy_config.levels()
+        }
+        trace_accesses = stats.get("sim.trace_accesses")
         memory_instructions = (
             counts.get("load", 0.0)
             + counts.get("store", 0.0)

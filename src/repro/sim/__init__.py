@@ -9,10 +9,11 @@ parameterisable cache hierarchy, but no latencies.
 Two interchangeable cache-simulation engines are provided (see
 :mod:`repro.sim.engine`): the per-access ``"reference"`` loop and the
 array-based ``"vectorized"`` chunk engine, which produce bit-identical
-statistics.  The trace reaches the engines in one of two bit-equivalent
-representations: materialised address chunks (``"expanded"``) or compressed
-affine run descriptors (``"descriptor"``, the vectorized default — see
-:meth:`repro.codegen.program.Program.memory_trace_descriptors`).  All
+statistics.  Each engine reads the trace in its own representation: the
+reference loop walks materialised address chunks
+(:meth:`repro.codegen.program.Program.memory_trace`), the vectorized engine
+compressed affine run descriptors
+(:meth:`repro.codegen.program.Program.memory_trace_descriptors`).  All
 replacement policies live in one registry (:mod:`repro.sim.policies` —
 LRU, FIFO, random, tree-PLRU, SRRIP) and run bit-identically on both
 engines: each :class:`~repro.sim.policies.PolicySpec` defines the state,
@@ -20,11 +21,10 @@ touch rule and victim rule every execution layer consumes.  Random
 replacement draws its victims from a replayable counter-based stream
 (:func:`repro.sim.policies.victim_rank`, seeded via
 ``TraceOptions.rng_seed`` / ``CacheConfig.rng_seed``), so stochastic
-caches stay bit-identical across engines, trace representations and chunk
-schedules.  Simulation results are memoized across identical ``(program,
-hierarchy, trace options)`` requests via :mod:`repro.sim.memo`; the
-victim-stream seed joins the key exactly when a victim-stream level is
-present.
+caches stay bit-identical across engines and chunk schedules.  Simulation
+results are memoized across identical ``(program, hierarchy, trace
+options, engine)`` requests via :mod:`repro.sim.memo`; the victim-stream
+seed joins the key exactly when a victim-stream level is present.
 """
 
 from repro.sim.stats import StatGroup, SimulationStats
@@ -32,14 +32,10 @@ from repro.sim.engine import (
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
     ENGINES,
-    TRACE_DESCRIPTOR,
-    TRACE_EXPANDED,
-    TRACE_MODES,
     VectorCacheState,
     arena_batching_available,
     native_chunk_heads,
     resolve_engine,
-    resolve_trace_mode,
     victim_rank,
 )
 from repro.sim.cache import CacheConfig, Cache
@@ -80,14 +76,10 @@ __all__ = [
     "ENGINE_REFERENCE",
     "ENGINE_VECTORIZED",
     "ENGINES",
-    "TRACE_DESCRIPTOR",
-    "TRACE_EXPANDED",
-    "TRACE_MODES",
     "VectorCacheState",
     "arena_batching_available",
     "native_chunk_heads",
     "resolve_engine",
-    "resolve_trace_mode",
     "victim_rank",
     "CacheConfig",
     "Cache",

@@ -33,6 +33,10 @@ victim sequences.
 The engine is selected per cache via the ``engine`` constructor argument
 (``None`` is the vectorized engine); a simulator passes its
 ``RuntimeConfig.engine`` down through :class:`~repro.sim.hierarchy.CacheHierarchy`.
+Every access route is a batch: a single :meth:`Cache.access` is a batch of
+one through :meth:`Cache.access_lines`, the vectorized engine adds the
+descriptor-chunk and packed-arena routes, and each level hands its misses
+to the next one as one forwarded batch.
 """
 
 from __future__ import annotations
@@ -225,84 +229,9 @@ class Cache:
 
     # -- access processing -------------------------------------------------
     def access(self, address: int, is_write: bool) -> bool:
-        """Process one byte-address access; returns True on hit.
-
-        This is a scalar fast path: single-address probes go through plain
-        integer bookkeeping without allocating per-call NumPy arrays.
-        """
-        line = int(address) >> self._offset_bits
-        if self._state is not None:
-            return self._access_single_vectorized(line, is_write)
-        return self._access_single_reference(line, is_write)
-
-    def _access_single_vectorized(self, line: int, is_write: bool) -> bool:
-        outcome = self._state.process_single(line, is_write, self._last_miss_line)
-        self._apply_outcome(outcome)
-        if outcome.hits:
-            return True
-        self._forward_single(line, False)
-        if outcome.writebacks:
-            self._forward_single(int(outcome.forwarded_lines[1]), True)
-        return False
-
-    def _access_single_reference(self, line: int, is_write: bool) -> bool:
-        # Deliberately mirrors one iteration of _access_lines_reference
-        # rather than sharing a helper: the batch loop keeps its counters in
-        # locals for speed, and a per-access call would slow the hot path.
-        # Bit-identity across all four access paths (scalar/batch x
-        # reference/vectorized) is enforced by tests/test_sim_engine.py.
-        state = self._ref
-        spec = self._policy
-        set_index = line & self._set_mask
-        tag_row = state.tags[set_index]
-        occupancy = state.occupancy[set_index]
-        way = -1
-        for position in range(occupancy):
-            if tag_row[position] == line:
-                way = position
-                break
-        tick = state.tick
-        state.tick = tick + 1
-        if way >= 0:
-            if is_write:
-                self.write_accesses += 1
-                self.write_hits += 1
-                state.dirty[set_index][way] = 1
-            else:
-                self.read_accesses += 1
-                self.read_hits += 1
-            spec.touch(state, set_index, way, tick, True)
-            return True
-        if is_write:
-            self.write_accesses += 1
-            self.write_misses += 1
-        else:
-            self.read_accesses += 1
-            self.read_misses += 1
-        if line == self._last_miss_line + 1:
-            self.sequential_misses += 1
-        self._last_miss_line = line
-        victim_line = -1
-        victim_dirty = 0
-        if occupancy >= self.config.associativity:
-            way = spec.victim_way(state, set_index)
-            victim_line = tag_row[way]
-            victim_dirty = state.dirty[set_index][way]
-            if is_write:
-                self.write_replacements += 1
-            else:
-                self.read_replacements += 1
-        else:
-            way = occupancy
-            state.occupancy[set_index] = occupancy + 1
-        tag_row[way] = line
-        state.dirty[set_index][way] = 1 if is_write else 0
-        spec.touch(state, set_index, way, tick, False)
-        self._forward_single(line, False)
-        if victim_dirty:
-            self.writebacks += 1
-            self._forward_single(victim_line, True)
-        return False
+        """Process one byte-address access, a batch of one; True on a hit."""
+        lines = np.array([int(address) >> self._offset_bits], dtype=np.int64)
+        return bool(self.access_lines(lines, np.array([is_write], dtype=bool)))
 
     def access_batch(self, addresses: np.ndarray, is_write: np.ndarray) -> int:
         """Process a batch of byte addresses in order; returns the number of hits."""
@@ -549,12 +478,6 @@ class Cache:
             self.next_level.access_lines(lines, is_write)
         else:
             self.next_level.access_batch(lines << self._offset_bits, is_write)
-
-    def _forward_single(self, line: int, is_write: bool) -> None:
-        """Scalar counterpart of :meth:`_forward` (no array allocations)."""
-        if self.next_level is None:
-            return
-        self.next_level.access(line << self._offset_bits, is_write)
 
     # -- introspection ------------------------------------------------------
     def resident_lines(self) -> int:

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.codegen.isa import InstructionCategory as IC
 from repro.codegen.program import Loop, Program
 from repro.reliability import current_deadline
-from repro.sim.engine import TRACE_DESCRIPTOR, resolve_trace_mode
+from repro.sim.engine import ENGINE_VECTORIZED
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.stats import SimulationStats
 
@@ -33,23 +33,24 @@ class TraceOptions:
     sampling the trace does not bias them.
 
     The options describe *which* trace is simulated, never how: the engine
-    and the trace representation come from
-    :class:`~repro.sim.runtime_config.RuntimeConfig`, and every
-    engine/representation combination produces bit-identical statistics.
-    ``chunk_iterations`` trades a few MB of trace buffering for
-    vectorization width: larger chunks amortize the fixed per-chunk cost of
-    the vectorized engine.  Statistics are chunking-invariant when
-    ``sample_fraction`` is 1; sampled traces keep or drop whole chunks, so
-    pin ``chunk_iterations`` explicitly when a sampled run must stay
-    reproducible across releases.
+    comes from :class:`~repro.sim.runtime_config.RuntimeConfig`, the trace
+    representation follows the engine (see :func:`run_data_trace`), and
+    both engines produce bit-identical statistics.  ``chunk_iterations``
+    trades a few MB of trace buffering for vectorization width: larger
+    chunks amortize the fixed per-chunk cost of the vectorized engine.
+    Statistics are chunking-invariant when ``sample_fraction`` is 1;
+    sampled traces keep or drop whole chunks, so pin ``chunk_iterations``
+    explicitly when a sampled run must stay reproducible across releases.
+    ``chunk_iterations`` below 1 or a ``sample_fraction`` outside (0, 1]
+    raises ``ValueError`` on construction.
 
     ``seed`` drives trace *sampling* only.  ``rng_seed`` seeds the
     replayable random-replacement victim stream of the simulated caches
     (see :mod:`repro.sim.engine`); it is ignored by hierarchies without a
     random-replacement level, and the memoization key normalises it away in
-    that case.  Runs with equal seeds are bit-identical across engines,
-    trace representations and chunk schedules; runs with different seeds
-    draw independent victim sequences.
+    that case.  Runs with equal seeds are bit-identical across engines and
+    chunk schedules; runs with different seeds draw independent victim
+    sequences.
     """
 
     max_accesses: Optional[int] = None
@@ -58,31 +59,35 @@ class TraceOptions:
     seed: int = 0
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A chunk of zero iterations never advances the trace walk, so it
+        # would never yield and never poll a deadline.
+        if self.chunk_iterations < 1:
+            raise ValueError(f"chunk_iterations must be >= 1, got {self.chunk_iterations}")
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ValueError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
 
-def run_data_trace(
-    hierarchy: CacheHierarchy,
-    program: Program,
-    options: TraceOptions,
-    trace: Optional[str] = None,
-) -> int:
+
+def run_data_trace(hierarchy: CacheHierarchy, program: Program, options: TraceOptions) -> int:
     """Drive ``program``'s data trace through ``hierarchy``; returns accesses.
 
-    ``trace`` picks the representation; ``None`` is the one native to the
-    hierarchy's L1D engine (see
-    :func:`~repro.sim.engine.resolve_trace_mode`).  Descriptor chunks feed
+    The representation follows the L1D engine.  A vectorized L1D walks
+    descriptor chunks through
     :meth:`CacheHierarchy.access_data_descriptor_stream` — grouped into
     packed arenas for the native batch kernel when it is available,
-    per-chunk otherwise — without ever materialising the address stream;
-    expanded chunks go through :meth:`CacheHierarchy.access_data_batch`.
+    per-chunk otherwise — without ever materialising the address stream.
+    A reference L1D walks the expanded chunks of
+    :meth:`Program.memory_trace` through
+    :meth:`CacheHierarchy.access_data_batch`, independent of the
+    descriptor emitter.
     """
-    mode = resolve_trace_mode(trace, hierarchy.l1d.engine)
     # Cooperative deadline: polled once per trace chunk, so a hung or
     # pathological candidate overshoots its budget by at most one chunk of
     # work instead of blocking the caller indefinitely.  With no ambient
     # deadline installed the check costs one comparison per chunk.
     deadline = current_deadline()
     total = 0
-    if mode == TRACE_DESCRIPTOR:
+    if hierarchy.l1d.engine == ENGINE_VECTORIZED:
         chunks = program.memory_trace_descriptors(
             chunk_iterations=options.chunk_iterations,
             max_accesses=options.max_accesses,
@@ -124,19 +129,11 @@ class AtomicSimpleCPU:
         self.hierarchy = hierarchy
         self.name = name
 
-    def run(
-        self,
-        program: Program,
-        options: TraceOptions = TraceOptions(),
-        trace: Optional[str] = None,
-    ) -> SimulationStats:
-        """Execute ``program`` and return gem5-style statistics.
-
-        ``trace`` is the trace representation (see :func:`run_data_trace`).
-        """
+    def run(self, program: Program, options: TraceOptions = TraceOptions()) -> SimulationStats:
+        """Execute ``program`` and return gem5-style statistics."""
         start = time.perf_counter()
         counts = program.instruction_counts()
-        trace_accesses = run_data_trace(self.hierarchy, program, options, trace)
+        trace_accesses = run_data_trace(self.hierarchy, program, options)
         self._model_instruction_fetches(program, counts)
         elapsed = time.perf_counter() - start
         return self.assemble_stats(counts, trace_accesses, elapsed)

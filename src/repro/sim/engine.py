@@ -159,20 +159,11 @@ from repro.sim.policies import (  # noqa: F401 — victim_rank/_victim_ranks re-
     victim_rank,
 )
 
-#: Engine identifiers, threaded through ``Cache`` / ``CacheHierarchy`` /
-#: ``Simulator`` / ``SimulatorPool`` / ``TraceOptions``.
+#: Engine identifiers, passed from ``RuntimeConfig.engine`` through
+#: ``Simulator`` / ``CacheHierarchy`` to each ``Cache``.
 ENGINE_REFERENCE = "reference"
 ENGINE_VECTORIZED = "vectorized"
 ENGINES = (ENGINE_REFERENCE, ENGINE_VECTORIZED)
-
-#: Trace-representation identifiers: ``"expanded"`` materialises address
-#: chunks (:meth:`Program.memory_trace`), ``"descriptor"`` streams affine run
-#: descriptors (:meth:`Program.memory_trace_descriptors`).  Both produce
-#: bit-identical statistics; the choice only affects host throughput and
-#: peak trace memory.
-TRACE_EXPANDED = "expanded"
-TRACE_DESCRIPTOR = "descriptor"
-TRACE_MODES = (TRACE_EXPANDED, TRACE_DESCRIPTOR)
 
 #: Chunks smaller than this are processed by the scalar loop directly; the
 #: fixed cost of the vector path (sort, segment bookkeeping) does not pay off.
@@ -215,18 +206,6 @@ def resolve_engine(engine: Optional[str]) -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown simulation engine {engine!r}; expected one of {ENGINES}")
     return engine
-
-
-def resolve_trace_mode(trace: Optional[str], engine: str) -> str:
-    """Validate ``trace``; ``None`` is the engine's own representation.
-
-    The vectorized engine consumes descriptors and the reference engine
-    consumes expanded chunks.
-    """
-    trace = trace or (TRACE_DESCRIPTOR if engine == ENGINE_VECTORIZED else TRACE_EXPANDED)
-    if trace not in TRACE_MODES:
-        raise ValueError(f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}")
-    return trace
 
 
 class _ArenaScratch(threading.local):
@@ -858,42 +837,6 @@ class VectorCacheState:
         self.dirty[set_index, way] = dirty_value
         spec.touch(self, set_index, way, age_value, False, retouch)
         return False, victim_line, victim_dirty
-
-    def process_single(self, line: int, is_write: bool, last_miss_line: int) -> ChunkOutcome:
-        """Scalar fast path for one access (no array allocations on hits)."""
-        outcome = ChunkOutcome(last_miss_line=last_miss_line)
-        set_index = line & self._set_mask
-        tick = self._tick
-        self._tick = tick + 1
-        hit, victim_line, victim_dirty = self._scalar_event(set_index, line, is_write, tick)
-        if hit:
-            outcome.hits = 1
-            if is_write:
-                outcome.write_hits = 1
-            else:
-                outcome.read_hits = 1
-            return outcome
-        if is_write:
-            outcome.write_misses = 1
-        else:
-            outcome.read_misses = 1
-        if line == last_miss_line + 1:
-            outcome.sequential_misses = 1
-        outcome.last_miss_line = line
-        forwarded: List[int] = [line]
-        flags: List[bool] = [False]
-        if victim_line >= 0:
-            if is_write:
-                outcome.write_replacements = 1
-            else:
-                outcome.read_replacements = 1
-            if victim_dirty:
-                outcome.writebacks = 1
-                forwarded.append(victim_line)
-                flags.append(True)
-        outcome.forwarded_lines = np.asarray(forwarded, dtype=np.int64)
-        outcome.forwarded_writes = np.asarray(flags, dtype=bool)
-        return outcome
 
     def _process_scalar_chunk(
         self, lines: np.ndarray, is_write: np.ndarray, last_miss_line: int

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,11 +59,12 @@ class CacheHierarchyConfig:
 
 
 class CacheHierarchy:
-    """An instantiated hierarchy with separate data and instruction paths.
+    """An instantiated hierarchy with split L1 caches and shared lower levels.
 
-    Data requests flow L1D -> L2 -> (L3) -> memory; instruction fetches flow
-    L1I -> L2 -> (L3) -> memory, matching the shared higher levels of the
-    CPUs in the paper.
+    Data requests flow L1D -> L2 -> (L3) -> memory, matching the shared
+    higher levels of the CPUs in the paper.  No fetch trace is walked: the
+    L1I counters come from the CPU's analytic code-footprint model
+    (:meth:`~repro.sim.cpu.AtomicSimpleCPU.run`).
     """
 
     def __init__(
@@ -98,10 +99,6 @@ class CacheHierarchy:
         self.l1i = build(config.l1i, "l1i", self.l2)
 
     # -- access paths -----------------------------------------------------
-    def access_data(self, address: int, is_write: bool) -> bool:
-        """Single data access through the data path; returns True on an L1D hit."""
-        return self.l1d.access(address, is_write)
-
     def access_data_batch(self, addresses: np.ndarray, is_write: np.ndarray) -> int:
         """Batch of data accesses in program order; returns L1D hits."""
         return self.l1d.access_batch(addresses, is_write)
@@ -135,19 +132,7 @@ class CacheHierarchy:
         """
         return self.l1d.access_descriptor_stream(chunks)
 
-    def access_instr_batch(self, addresses: np.ndarray) -> int:
-        """Batch of instruction fetches; returns L1I hits."""
-        flags = np.zeros(addresses.shape, dtype=bool)
-        return self.l1i.access_batch(addresses, flags)
-
     # -- management ---------------------------------------------------------
-    def data_caches(self) -> List[Cache]:
-        """Caches on the data path, closest first."""
-        caches = [self.l1d, self.l2]
-        if self.l3 is not None:
-            caches.append(self.l3)
-        return caches
-
     def all_caches(self) -> Dict[str, Cache]:
         """All caches keyed by level name."""
         caches = {"l1d": self.l1d, "l1i": self.l1i, "l2": self.l2}

@@ -9,9 +9,8 @@ options, engine)``, its results can be cached on that key.
 :class:`SimulationCache` is an LRU-bounded in-memory store with an optional
 persistent backend (``store=``, a :class:`repro.service.ResultStore`).  Keys
 hash the program's cached content digest — computed once per program —
-together with the hierarchy, trace options and engine; the trace
-representation does not affect results and is not part of the key.  Values are stored as flat
-statistics snapshots and reconstructed into fresh
+together with the hierarchy, trace options and engine.  Values are stored
+as flat statistics snapshots and reconstructed into fresh
 :class:`~repro.sim.stats.SimulationStats` objects on every lookup, so
 callers can never mutate a cached entry through an alias.  The store is
 thread-safe: every backend of :class:`~repro.sim.simulator.SimulatorPool`
@@ -99,12 +98,9 @@ class SimulationCache:
         """The memoization key of one simulation request.
 
         ``program.content_digest()`` is cached on the program, so repeated
-        lookups do not re-serialise the tree.  The trace *representation*
-        (descriptor/expanded) is not part of the key: it travels in the
-        runtime config, not in ``trace_options``, and both representations
-        produce bit-identical statistics, so results memoized under one
-        serve the other.  The
-        random-replacement ``rng_seed`` is part of the key whenever any
+        lookups do not re-serialise the tree.  The trace representation
+        follows ``engine``, so the key names it without a field of its own.
+        The random-replacement ``rng_seed`` is part of the key whenever any
         hierarchy level uses a victim-stream policy — two runs with
         different seeds can never share a cached result — and is normalised
         out otherwise, where the replayable victim stream is never consumed

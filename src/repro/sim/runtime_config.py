@@ -1,11 +1,13 @@
 """Typed runtime configuration: the resolved plan of one simulation stack.
 
 :class:`RuntimeConfig` is a frozen dataclass of concrete settings.  It is
-the only route by which engine, trace representation, replacement policy,
-memoization, budget and retry reach a :class:`~repro.sim.Simulator`, a
+the only route by which engine, replacement policy, memoization, budget
+and retry reach a :class:`~repro.sim.Simulator`, a
 :class:`~repro.sim.SimulatorPool` or the runners built on them; nothing
 below it reads the environment.  Constructing one never reads the
-environment either: ``RuntimeConfig()`` is the default plan.
+environment either: ``RuntimeConfig()`` is the default plan.  The trace
+representation is not a setting: it follows the engine (descriptor runs
+on the vectorized engine, expanded address chunks on the reference one).
 
 :meth:`RuntimeConfig.from_env` is the one reader of the simulation
 variables, and ``repro.cli simulate`` and ``repro.cli serve`` call it once
@@ -17,9 +19,6 @@ at start-up:
 ``engine``                ``REPRO_SIM_ENGINE``       cache-simulation engine
                                                      (``reference``/``vectorized``;
                                                      default ``vectorized``)
-``trace``                 ``REPRO_SIM_TRACE``        trace representation
-                                                     (``expanded``/``descriptor``;
-                                                     default: the engine's own)
 ``replacement``           ``REPRO_SIM_REPLACEMENT``  uniform replacement policy
                                                      for every hierarchy level
                                                      (registry name; default:
@@ -43,19 +42,13 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
 from repro.reliability import RetryPolicy
-from repro.sim.engine import (
-    ENGINE_VECTORIZED,
-    ENGINES,
-    arena_batching_available,
-    resolve_trace_mode,
-)
+from repro.sim.engine import ENGINE_VECTORIZED, ENGINES, arena_batching_available
 from repro.sim.policies import get_policy
 
 #: ``(setting, env var, description)`` rows of the documented toggle surface:
 #: the env-backed fields, then the process-wide native-kernel switch.
 ENV_SURFACE: Tuple[Tuple[str, str, str], ...] = (
     ("engine", "REPRO_SIM_ENGINE", "cache-simulation engine (reference/vectorized)"),
-    ("trace", "REPRO_SIM_TRACE", "trace representation (expanded/descriptor)"),
     ("replacement", "REPRO_SIM_REPLACEMENT",
      "replacement policy of every hierarchy level (registry name; default Table I)"),
     ("retry", "REPRO_RETRY_ATTEMPTS (+_BASE_DELAY_S/_MAX_DELAY_S/_SEED)",
@@ -74,8 +67,6 @@ class RuntimeConfig:
 
     #: Cache-simulation engine.
     engine: str = ENGINE_VECTORIZED
-    #: Trace representation; ``None`` is the engine's own representation.
-    trace: Optional[str] = None
     #: Replacement policy applied to every hierarchy level (a
     #: :data:`repro.sim.policies.POLICIES` name); ``None`` keeps the Table I
     #: per-level policies.
@@ -92,7 +83,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"unknown simulation engine {self.engine!r}; expected one of {ENGINES}"
             )
-        resolve_trace_mode(self.trace, self.engine)
         if self.replacement is not None:
             get_policy(self.replacement)
         if self.timeout_s < 0:
@@ -111,7 +101,6 @@ class RuntimeConfig:
         env = os.environ if environ is None else environ
         return cls(
             engine=env.get("REPRO_SIM_ENGINE") or ENGINE_VECTORIZED,
-            trace=env.get("REPRO_SIM_TRACE") or None,
             replacement=env.get("REPRO_SIM_REPLACEMENT") or None,
             retry=RetryPolicy.from_env(env),
         )
@@ -120,7 +109,6 @@ class RuntimeConfig:
         """``(setting, env var, value)`` rows for ``serve --check``."""
         values = {
             "engine": self.engine,
-            "trace": resolve_trace_mode(self.trace, self.engine),
             "replacement": self.replacement or "per-level default",
             "retry": repr(self.retry),
             "native": "on" if arena_batching_available() else "off",

@@ -12,16 +12,18 @@ Two cross-cutting performance features live here:
 * **Engine selection** — every simulator runs the plan of one
   :class:`~repro.sim.runtime_config.RuntimeConfig`: ``config.engine``
   (``"reference"`` or ``"vectorized"``, see :mod:`repro.sim.engine`) is
-  passed down through :class:`CacheHierarchy` to each cache, and
-  ``config.trace`` reaches the trace walk as an argument (descriptor runs
-  by default on the vectorized engine, expanded address chunks otherwise);
-  all combinations are bit-identical.
+  passed down through :class:`CacheHierarchy` to each cache, and the trace
+  representation follows it (descriptor runs on the vectorized engine,
+  expanded address chunks on the reference one); both engines are
+  bit-identical.
 * **Result memoization** — ``Simulator.run`` is a pure function of
   ``(program content, hierarchy config, trace options, engine)``, so results
   are served from an LRU-bounded :class:`~repro.sim.memo.SimulationCache`
-  when the same triple is simulated again (the tuner re-simulates identical
-  schedules across rounds).  Cached statistics are bit-identical to a fresh
-  run except ``sim.host_seconds``, which reports the cache-lookup time.
+  when the same request is simulated again (the tuner re-simulates
+  identical schedules across rounds, and the target board reads the
+  statistics of the simulation it is paired with).  Cached statistics are
+  bit-identical to a fresh run except ``sim.host_seconds``, which reports
+  the cache-lookup time.
 """
 
 from __future__ import annotations
@@ -46,12 +48,7 @@ from repro.reliability import (
 from repro.reliability import faults
 from repro.sim.configs import CACHE_HIERARCHIES, hierarchy_with_replacement
 from repro.sim.cpu import AtomicSimpleCPU, TraceOptions
-from repro.sim.engine import (
-    ARENA_ACCESS_BATCH,
-    ARENA_CHUNK_BATCH,
-    TRACE_DESCRIPTOR,
-    resolve_trace_mode,
-)
+from repro.sim.engine import ARENA_ACCESS_BATCH, ARENA_CHUNK_BATCH, ENGINE_REFERENCE
 from repro.sim.hierarchy import CacheHierarchy, CacheHierarchyConfig
 from repro.sim.memo import SimulationCache, default_simulation_cache
 from repro.sim.runtime_config import RuntimeConfig
@@ -144,8 +141,8 @@ class Simulator:
     ):
         """Build a simulator for ``arch``.
 
-        Engine, trace representation, replacement policy, memoization,
-        budget and retry come from ``config`` (default ``RuntimeConfig()``).
+        Engine, replacement policy, memoization, budget and retry come from
+        ``config`` (default ``RuntimeConfig()``).
         ``memo_cache`` replaces the process-wide default cache of a
         memoizing simulator.
         """
@@ -165,7 +162,6 @@ class Simulator:
                 hierarchy_config = CACHE_HIERARCHIES[self.arch]
         self.hierarchy_config = hierarchy_config
         self.engine = self.config.engine
-        self.trace = resolve_trace_mode(self.config.trace, self.engine)
         self.trace_options = trace_options
         self.memoize = self.config.memoize
         self.memo_cache = memo_cache if memo_cache is not None else (
@@ -241,7 +237,7 @@ class Simulator:
             self.hierarchy_config, engine=self.engine, rng_seed=self.trace_options.rng_seed
         )
         cpu = AtomicSimpleCPU(hierarchy)
-        return cpu.run(program, self.trace_options, self.trace)
+        return cpu.run(program, self.trace_options)
 
 
 #: Candidates lowered and packed together per wave of the batch simulator.
@@ -275,7 +271,7 @@ class BatchSimulator(Simulator):
     between candidates (:meth:`CacheHierarchy.reset_state` restores the
     exact cold start: flushed contents, rewound victim stream, zeroed
     counters), eliminating the dominant per-candidate setup cost of the
-    tuning loop.  In descriptor trace mode it additionally lowers a whole
+    tuning loop.  On the vectorized engine it additionally lowers a whole
     *wave* of candidates up front, packs their chunks into shared
     :class:`~repro.codegen.program.DescriptorArena` segments with
     per-candidate chunk-group boundaries, and sweeps each candidate's group
@@ -284,7 +280,7 @@ class BatchSimulator(Simulator):
     across the whole wave.
 
     Statistics are **bit-identical** to per-candidate :meth:`Simulator.run`
-    for every engine/trace combination (``sim.host_seconds`` excepted, as
+    on either engine (``sim.host_seconds`` excepted, as
     with memoized results): every candidate still observes a cold
     hierarchy, and statistics are chunking-invariant, so shared-arena
     grouping cannot change them.  Reliability semantics survive batching:
@@ -317,7 +313,7 @@ class BatchSimulator(Simulator):
         """Cold-identical simulation on the shared, reset hierarchy."""
         cpu = self._shared_cpu()
         cpu.hierarchy.reset_state()
-        return cpu.run(program, self.trace_options, self.trace)
+        return cpu.run(program, self.trace_options)
 
     # -- batch execution ---------------------------------------------------
 
@@ -344,13 +340,13 @@ class BatchSimulator(Simulator):
 
         Failures become :class:`SimulationFailure` records, never raises —
         outcomes match per-candidate :func:`_attempt_program` containment.
-        Expanded-trace runs have no packable descriptor form; they go
-        through :func:`_attempt_program` itself and still benefit from
-        hierarchy reuse.
+        The reference engine walks expanded traces, which have no packable
+        descriptor form; its candidates go through :func:`_attempt_program`
+        itself and still benefit from hierarchy reuse.
         """
         retry = retry if retry is not None else self.config.retry
         timeout = float(timeout_s if timeout_s is not None else self.config.timeout_s)
-        if self.trace != TRACE_DESCRIPTOR:
+        if self.engine == ENGINE_REFERENCE:
             for program in programs:
                 yield _attempt_program(self, program, timeout, retry)
             return
@@ -659,10 +655,10 @@ class SimulatorPool:
       ``memoize=False``), and each returned result is stored under its
       ``sim_digest``.
 
-    Engine, trace representation, memoization, the per-candidate budget
-    (``config.timeout_s``, enforced cooperatively inside lowering and the
-    trace sweep, with a pool-kill backstop on the ``processes`` backend) and
-    the retry policy all come from ``config``.
+    Engine, memoization, the per-candidate budget (``config.timeout_s``,
+    enforced cooperatively inside lowering and the trace sweep, with a
+    pool-kill backstop on the ``processes`` backend) and the retry policy
+    all come from ``config``.
     """
 
     arch: str

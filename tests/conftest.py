@@ -9,7 +9,8 @@ from repro import te
 from repro.codegen import Target, build_program
 from repro.pipeline.dataset import generate_group_samples
 from repro.predictor.training import PredictorDataset
-from repro.sim.cpu import TraceOptions
+from repro.sim.cpu import AtomicSimpleCPU, TraceOptions
+from repro.sim.hierarchy import CacheHierarchy
 from repro.te import topi
 from repro.workloads.conv2d import Conv2DParams
 
@@ -57,6 +58,32 @@ def make_conv_func(params: Conv2DParams | None = None, vectorize=True, name="con
         conv_stage.vectorize(ow_inner)
     args = [ifm, weights, bias, out]
     return te.lower(schedule, args, name=name), args
+
+
+def expanded_walk_stats(hierarchy_config, program, options: TraceOptions) -> dict:
+    """Flat statistics of ``program``'s expanded trace fed straight into a
+    vectorized hierarchy, ``sim.host_seconds`` left out.
+
+    No simulator takes this route (the vectorized engine walks descriptors),
+    so it is a further reference for the descriptor walk and for the
+    reference engine.
+    """
+    hierarchy = CacheHierarchy(hierarchy_config, engine="vectorized", rng_seed=options.rng_seed)
+    accesses = 0
+    for addresses, writes in program.memory_trace(
+        chunk_iterations=options.chunk_iterations,
+        max_accesses=options.max_accesses,
+        sample_fraction=options.sample_fraction,
+        seed=options.seed,
+    ):
+        hierarchy.access_data_batch(addresses, writes)
+        accesses += int(addresses.size)
+    cpu = AtomicSimpleCPU(hierarchy)
+    counts = program.instruction_counts()
+    cpu._model_instruction_fetches(program, counts)
+    flat = cpu.assemble_stats(counts, accesses, 0.0).as_dict()
+    del flat["sim.host_seconds"]
+    return flat
 
 
 @pytest.fixture(scope="session")

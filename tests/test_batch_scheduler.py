@@ -38,6 +38,7 @@ from repro.codegen.program import pack_descriptor_arena
 from repro.reliability import Deadline, DeadlineExceeded, RetryPolicy, deadline_scope
 from repro.reliability import faults
 from repro.sim import (
+    CACHE_HIERARCHIES,
     BatchSimulator,
     RuntimeConfig,
     Simulator,
@@ -48,6 +49,7 @@ from repro.sim import (
 from repro.sim.memo import SimulationCache
 from repro.sim.simulator import SimulationFailure, SimulationResult, _attempt_program
 from repro.sim.stats import SimulationStats
+from tests.conftest import expanded_walk_stats
 
 TRACE = TraceOptions(max_accesses=15_000)
 #: Oracle and batch simulators run unmemoized unless a test says otherwise.
@@ -160,15 +162,20 @@ class TestArenaGroups:
 
 class TestBatchSimulatorEquivalence:
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    @pytest.mark.parametrize("trace", ["descriptor", "expanded"])
-    def test_bit_identical_across_engines_and_traces(self, programs, engine, trace):
-        config = RuntimeConfig(engine=engine, trace=trace, memoize=False)
+    def test_bit_identical_across_engines_and_traces(self, programs, engine):
+        """Each engine walks its own representation (descriptors on the
+        vectorized engine, expanded chunks on the reference one); both
+        equal the default path and the expanded trace fed straight into a
+        vectorized hierarchy."""
+        config = RuntimeConfig(engine=engine, memoize=False)
         serial = [Simulator("arm", trace_options=TRACE, config=config).run(p) for p in programs]
         batch = BatchSimulator("arm", trace_options=TRACE, config=config)
-        assert (batch.engine, batch.trace) == (engine, trace)
+        assert batch.engine == engine
         assert_bit_identical(batch.run_batch(programs), serial)
         oracle = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         assert_bit_identical(serial, [oracle.run(p) for p in programs])
+        expanded = [expanded_walk_stats(CACHE_HIERARCHIES["arm"], p, TRACE) for p in programs]
+        assert [flat(result) for result in serial] == expanded
 
     def test_bit_identical_without_native_kernels(self, programs, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_NATIVE", "0")

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.codegen import Target, build_program
 from repro.codegen.isa import InstructionCategory as IC
+from repro.codegen.program import Program
 from repro.hardware import (
     CPU_SPECS,
     MeasurementProtocol,
@@ -15,10 +20,20 @@ from repro.hardware import (
     NoiseConfig,
     NoiseModel,
     TargetBoard,
+    TimingBreakdown,
     TimingModel,
     cpu_spec_for,
 )
-from repro.sim import TraceOptions
+from repro.pipeline.dataset import DatasetConfig, generate_dataset
+from repro.sim import (
+    BatchSimulator,
+    CacheHierarchy,
+    Simulator,
+    TraceOptions,
+    default_simulation_cache,
+    hierarchy_with_replacement,
+    run_data_trace,
+)
 from tests.conftest import make_conv_func
 
 
@@ -215,3 +230,143 @@ class TestTargetBoard:
     def test_execute_single_run(self, conv_programs):
         board = TargetBoard("riscv", trace_options=TraceOptions(max_accesses=10_000), seed=2)
         assert board.execute(conv_programs["riscv"]) > 0
+
+
+def reference_undisturbed_time(board: TargetBoard, program) -> TimingBreakdown:
+    """The board's own computation before it read the simulator's statistics:
+    a fresh hierarchy walked by ``run_data_trace``, the analytic instruction
+    counts and the timing model."""
+    hierarchy = CacheHierarchy(board.hierarchy_config, rng_seed=board.trace_options.rng_seed)
+    trace_accesses = float(run_data_trace(hierarchy, program, board.trace_options))
+    counts = program.instruction_counts()
+    memory_instructions = (
+        counts[IC.LOAD] + counts[IC.STORE] + counts[IC.VEC_LOAD] + counts[IC.VEC_STORE]
+    )
+    trace_scale = 1.0
+    if trace_accesses > 0 and memory_instructions > trace_accesses:
+        trace_scale = memory_instructions / trace_accesses
+    return board.timing_model.estimate(
+        counts, hierarchy.stats_dict(), trace_scale=trace_scale
+    )
+
+
+class TestBoardReadsTheSimulation:
+    """The board's statistics are the memoized simulation's: every time
+    equals the board's former private walk, served from the memo or not."""
+
+    ARCHS = ("x86", "arm", "riscv")
+
+    @pytest.fixture(scope="class")
+    def conv_programs(self):
+        func, _ = make_conv_func()
+        return {arch: build_program(func, Target.from_name(arch)) for arch in self.ARCHS}
+
+    @staticmethod
+    def _memo_counts():
+        memo = default_simulation_cache()
+        return memo.hits, memo.misses
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_cold_board_simulates(self, conv_programs, arch):
+        # A budget no other test uses keeps the memo cold for this program.
+        board = TargetBoard(arch, trace_options=TraceOptions(max_accesses=17_011))
+        hits, misses = self._memo_counts()
+        assert board.undisturbed_time(conv_programs[arch]) == reference_undisturbed_time(
+            board, conv_programs[arch]
+        )
+        assert self._memo_counts() == (hits, misses + 1)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_board_is_served_the_batch_simulation(self, conv_programs, arch):
+        options = TraceOptions(max_accesses=17_021)
+        program = conv_programs[arch]
+        BatchSimulator(arch, trace_options=options).run_batch([program])
+        board = TargetBoard(arch, trace_options=options)
+        hits, misses = self._memo_counts()
+        assert board.undisturbed_time(program) == reference_undisturbed_time(board, program)
+        assert self._memo_counts() == (hits + 1, misses)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_board_with_another_hierarchy_is_not_served(self, conv_programs, arch):
+        options = TraceOptions(max_accesses=17_033)
+        program = conv_programs[arch]
+        Simulator(arch, trace_options=options).run(program)
+        board = TargetBoard(
+            arch,
+            hierarchy_config=hierarchy_with_replacement(arch, "fifo"),
+            trace_options=options,
+        )
+        hits, misses = self._memo_counts()
+        assert board.undisturbed_time(program) == reference_undisturbed_time(board, program)
+        assert self._memo_counts() == (hits, misses + 1)
+
+    def test_boards_on_many_threads_agree(self, conv_programs):
+        """Boards on concurrent threads share the process-wide memo (the
+        first request per program computes, the rest coalesce onto it or
+        hit); every time must still equal the board's own walk."""
+        options = TraceOptions(max_accesses=17_047)
+        expected = {
+            arch: reference_undisturbed_time(TargetBoard(arch, trace_options=options), program)
+            for arch, program in conv_programs.items()
+        }
+
+        def measure(arch):
+            return arch, TargetBoard(arch, trace_options=options).undisturbed_time(
+                conv_programs[arch]
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(measure, arch) for _ in range(4) for arch in self.ARCHS]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 12
+        assert all(time == expected[arch] for arch, time in results)
+
+    def test_board_pickles_after_a_measurement(self, conv_programs):
+        """The board holds no simulator (and so no memo lock): process-pool
+        workers can still receive it."""
+        board = TargetBoard("arm", trace_options=TraceOptions(max_accesses=5_000))
+        before = board.undisturbed_time(conv_programs["arm"])
+        clone = pickle.loads(pickle.dumps(board))
+        assert clone.undisturbed_time(conv_programs["arm"]) == before
+
+    def test_a_training_pair_walks_its_trace_once(self, monkeypatch):
+        """Serial dataset generation on an empty memo pulls no descriptor
+        chunk inside ``TargetBoard.measure``: the board reads the pair's
+        simulation."""
+        pulled = {"board": 0, "elsewhere": 0}
+        inside = []
+        measure = TargetBoard.measure
+        descriptors = Program.memory_trace_descriptors
+
+        def counting_measure(board, program):
+            inside.append(True)
+            try:
+                return measure(board, program)
+            finally:
+                inside.pop()
+
+        def counting_descriptors(program, *args, **kwargs):
+            for chunk in descriptors(program, *args, **kwargs):
+                pulled["board" if inside else "elsewhere"] += 1
+                yield chunk
+
+        monkeypatch.setattr(TargetBoard, "measure", counting_measure)
+        monkeypatch.setattr(Program, "memory_trace_descriptors", counting_descriptors)
+        default_simulation_cache().clear()
+        dataset = generate_dataset(
+            DatasetConfig(
+                "x86",
+                implementations_per_group=3,
+                groups=(0, 1),
+                n_parallel=1,
+                trace_max_accesses=20_000,
+            )
+        )
+        assert len(dataset) == 6
+        assert pulled["elsewhere"] > 0
+        assert pulled["board"] == 0

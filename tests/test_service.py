@@ -50,6 +50,7 @@ from repro.service import (
 )
 from repro.sim import (
     CACHE_HIERARCHIES,
+    AtomicSimpleCPU,
     RuntimeConfig,
     SimulationCache,
     SimulationFailure,
@@ -59,9 +60,10 @@ from repro.sim import (
     TraceOptions,
     _native,
     arena_batching_available,
+    cache_hierarchy_for,
     hierarchy_with_replacement,
+    run_data_trace,
 )
-from repro.sim.engine import resolve_trace_mode
 from repro.sim.memo import CACHE_SCHEMA_VERSION
 from repro.sim.runtime_config import ENV_SURFACE
 
@@ -70,7 +72,6 @@ TRACE = TraceOptions(max_accesses=15_000)
 #: A fully set simulation environment, every value off its default.
 FULL_ENV = {
     "REPRO_SIM_ENGINE": "reference",
-    "REPRO_SIM_TRACE": "expanded",
     "REPRO_SIM_REPLACEMENT": "fifo",
     "REPRO_RETRY_ATTEMPTS": "3",
     "REPRO_RETRY_BASE_DELAY_S": "0.01",
@@ -381,7 +382,6 @@ class TestResultStore:
 ENV_CASES = [
     {},
     {"REPRO_SIM_ENGINE": "reference"},
-    {"REPRO_SIM_TRACE": "expanded"},
     {"REPRO_SIM_REPLACEMENT": "fifo"},
     {
         "REPRO_RETRY_ATTEMPTS": "3",
@@ -398,13 +398,11 @@ class TestRuntimeConfig:
         """Each variable keeps the meaning it had before the config existed."""
         config = RuntimeConfig.from_env(env)
         assert config.engine == env.get("REPRO_SIM_ENGINE", "vectorized")
-        assert config.trace == env.get("REPRO_SIM_TRACE")
         assert config.replacement == env.get("REPRO_SIM_REPLACEMENT")
         assert config.retry == RetryPolicy.from_env(env)
         assert (config.memoize, config.timeout_s) == (True, 0.0)
         simulator = Simulator("arm", config=config)
         assert simulator.engine == config.engine
-        assert simulator.trace == resolve_trace_mode(config.trace, config.engine)
         replacement = env.get("REPRO_SIM_REPLACEMENT")
         assert simulator.hierarchy_config == (
             hierarchy_with_replacement("arm", replacement)
@@ -419,25 +417,25 @@ class TestRuntimeConfig:
         assert RuntimeConfig() == RuntimeConfig.from_env({})
         assert RuntimeConfig.from_env() == RuntimeConfig.from_env(FULL_ENV) != RuntimeConfig()
         simulator = Simulator("arm")
-        assert (simulator.engine, simulator.trace) == ("vectorized", "descriptor")
+        assert simulator.engine == "vectorized"
         assert simulator.hierarchy_config == CACHE_HIERARCHIES["arm"]
         assert simulator.config.retry == RetryPolicy()
 
     def test_from_env_pins_against_later_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        monkeypatch.setenv("REPRO_SIM_TRACE", "expanded")
+        monkeypatch.setenv("REPRO_SIM_REPLACEMENT", "fifo")
         config = RuntimeConfig.from_env()
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        monkeypatch.delenv("REPRO_SIM_TRACE")
+        monkeypatch.delenv("REPRO_SIM_REPLACEMENT")
         simulator = Simulator("arm", config=config)
-        assert (simulator.engine, simulator.trace) == ("reference", "expanded")
+        assert simulator.engine == "reference"
+        assert simulator.hierarchy_config == hierarchy_with_replacement("arm", "fifo")
 
     @pytest.mark.parametrize(
         "fields,error",
         [
             ({"engine": "warp-drive"}, "unknown simulation engine"),
             ({"engine": None}, "unknown simulation engine"),
-            ({"trace": "compressed"}, "unknown trace mode"),
             ({"replacement": "mru"}, "unknown replacement policy"),
             ({"timeout_s": -1.0}, "timeout_s"),
         ],
@@ -455,20 +453,18 @@ class TestRuntimeConfig:
         assert [row[0] for row in rows] == [name for name, _, _ in ENV_SURFACE]
         assert all(len(row) == 3 and all(row) for row in rows)
         values = {name: value for name, _, value in rows}
-        assert (values["engine"], values["trace"], values["replacement"]) == (
-            "reference", "expanded", "fifo",
-        )
+        assert (values["engine"], values["replacement"]) == ("reference", "fifo")
         # The process-wide native switch is the loader's state, not a field.
         assert values["native"] == ("on" if arena_batching_available() else "off")
 
     def test_memo_key_bytes_are_unchanged(self, programs):
-        """Persisted store rows stay addressable, whatever representation ran."""
+        """Persisted store rows stay addressable."""
         key = SimulationCache.make_key(programs[0], CACHE_HIERARCHIES["arm"], TRACE, "vectorized")
         assert key == MATMUL_ARM_KEY
-        expanded = Simulator(
-            "arm", trace_options=TRACE, config=RuntimeConfig(trace="expanded", memoize=False)
+        result = Simulator(
+            "arm", trace_options=TRACE, config=RuntimeConfig(memoize=False)
         ).run(programs[0])
-        assert expanded.sim_digest == MATMUL_ARM_KEY
+        assert result.sim_digest == MATMUL_ARM_KEY
 
     def test_dataset_ignores_an_exported_replacement(self, monkeypatch):
         """Dataset statistics pair with the board's Table I times: an exported
@@ -511,10 +507,18 @@ class TestRuntimeConfig:
 
 
 #: Simulator and RuntimeConfig settings that no longer exist: each must fail
-#: loudly instead of being accepted and ignored.
+#: loudly instead of being accepted and ignored.  The trace-walk calls are
+#: rejected while binding their arguments, before any of them is used.
 REMOVED_SETTINGS = {
     "RuntimeConfig-native": lambda: RuntimeConfig(native=False),
     "RuntimeConfig-arena": lambda: RuntimeConfig(arena=False),
+    "RuntimeConfig-trace": lambda: RuntimeConfig(trace="expanded"),
+    "run_data_trace-trace": lambda: run_data_trace(
+        cache_hierarchy_for("arm"), None, TRACE, "expanded"
+    ),
+    "AtomicSimpleCPU.run-trace": lambda: AtomicSimpleCPU(cache_hierarchy_for("arm")).run(
+        None, TRACE, "expanded"
+    ),
     "RuntimeConfig-replace-unknown": lambda: dataclasses.replace(
         RuntimeConfig(), enginee="reference"
     ),

@@ -60,12 +60,6 @@ class TestHierarchyBehaviour:
         hierarchy.access_data_batch(addresses, np.zeros(32, dtype=bool))
         assert hierarchy.memory.accesses == hierarchy.l3.misses
 
-    def test_instruction_path_uses_l1i(self):
-        hierarchy = cache_hierarchy_for("riscv")
-        hierarchy.access_instr_batch(np.arange(8) * 64)
-        assert hierarchy.l1i.accesses == 8
-        assert hierarchy.l1d.accesses == 0
-
     def test_reset(self):
         hierarchy = cache_hierarchy_for("arm")
         hierarchy.access_data_batch(np.arange(8) * 64, np.zeros(8, dtype=bool))
@@ -93,6 +87,30 @@ class TestStats:
         stats.group("cpu").set("num_insts", 10)
         text = stats.dump()
         assert "cpu.num_insts" in text and "Begin Simulation Statistics" in text
+
+
+class TestTraceOptions:
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            ({"chunk_iterations": 0}, "chunk_iterations"),
+            ({"chunk_iterations": -4}, "chunk_iterations"),
+            ({"sample_fraction": 0.0}, "sample_fraction"),
+            ({"sample_fraction": -0.5}, "sample_fraction"),
+            ({"sample_fraction": 1.5}, "sample_fraction"),
+            ({"sample_fraction": float("nan")}, "sample_fraction"),
+        ],
+    )
+    def test_construction_rejects_out_of_range_values(self, fields, error):
+        """A chunk of no iterations never advances the walk, so a simulation
+        on it would hang past any deadline; a bad fraction would fail once
+        per candidate.  Both are refused when the options are built."""
+        with pytest.raises(ValueError, match=error):
+            TraceOptions(**fields)
+
+    def test_boundary_values_are_accepted(self):
+        options = TraceOptions(chunk_iterations=1, sample_fraction=1.0)
+        assert (options.chunk_iterations, options.sample_fraction) == (1, 1.0)
 
 
 class TestCpuAndSimulator:

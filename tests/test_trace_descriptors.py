@@ -38,18 +38,17 @@ from repro.codegen.program import (
 )
 from repro.codegen.target import Target
 from repro.sim import (
+    CACHE_HIERARCHIES,
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
-    TRACE_DESCRIPTOR,
-    TRACE_EXPANDED,
     CacheHierarchy,
     CacheHierarchyConfig,
     CacheLevelConfig,
     RuntimeConfig,
     Simulator,
     TraceOptions,
-    resolve_trace_mode,
 )
+from tests.conftest import expanded_walk_stats
 
 OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 
@@ -688,50 +687,16 @@ class TestGridHypothesis:
 
 
 class TestTraceModePlumbing:
-    def test_resolve_trace_mode_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TRACE", TRACE_EXPANDED)  # never read here
-        assert resolve_trace_mode(None, ENGINE_VECTORIZED) == TRACE_DESCRIPTOR
-        assert resolve_trace_mode(None, ENGINE_REFERENCE) == TRACE_EXPANDED
-        assert resolve_trace_mode(TRACE_EXPANDED, ENGINE_VECTORIZED) == TRACE_EXPANDED
-        with pytest.raises(ValueError):
-            resolve_trace_mode("compressed", ENGINE_VECTORIZED)
-
     def test_simulator_trace_modes_bit_identical(self, conv_program_x86):
-        results = {}
-        for trace in (TRACE_DESCRIPTOR, TRACE_EXPANDED):
-            simulator = Simulator(
-                "x86",
-                trace_options=TraceOptions(max_accesses=20_000),
-                config=RuntimeConfig(trace=trace, memoize=False),
-            )
-            assert simulator.trace == trace
-            flat = simulator.run(conv_program_x86).flat_stats()
-            flat.pop("sim.host_seconds")
-            results[trace] = flat
-        assert results[TRACE_DESCRIPTOR] == results[TRACE_EXPANDED]
-
-    def test_memo_key_is_trace_representation_neutral(self, conv_program_x86):
-        digests = {
-            Simulator(
-                "x86",
-                trace_options=TraceOptions(max_accesses=5_000),
-                config=RuntimeConfig(trace=trace, memoize=False),
-            ).run(conv_program_x86).sim_digest
-            for trace in (TRACE_DESCRIPTOR, TRACE_EXPANDED)
-        }
-        assert len(digests) == 1
-
-    def test_board_characterize_matches_the_expanded_walk(self, conv_program_x86):
-        from repro.hardware.board import TargetBoard
-        from repro.sim import run_data_trace
-
-        options = TraceOptions(max_accesses=10_000)
-        board = TargetBoard("x86", trace_options=options)
-        expanded = CacheHierarchy(board.hierarchy_config)
-        accesses = run_data_trace(expanded, conv_program_x86, options, TRACE_EXPANDED)
-        stats = expanded.stats_dict()
-        stats["_meta"] = {"trace_accesses": float(accesses)}
-        assert board.characterize(conv_program_x86) == stats
+        """The simulator's descriptor walk equals the expanded trace fed
+        straight into a vectorized hierarchy, at every level."""
+        options = TraceOptions(max_accesses=20_000)
+        simulator = Simulator("x86", trace_options=options, config=RuntimeConfig(memoize=False))
+        flat = simulator.run(conv_program_x86).flat_stats()
+        flat.pop("sim.host_seconds")
+        assert flat == expanded_walk_stats(
+            CACHE_HIERARCHIES["x86"], conv_program_x86, options
+        )
 
 
 class TestProgramDescriptorApi:
