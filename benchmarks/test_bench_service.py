@@ -4,7 +4,7 @@ Starts a real :class:`~repro.service.ServiceServer` on an ephemeral port and
 drives a candidate batch through the HTTP client twice:
 
 * **cold** — an empty :class:`~repro.service.ResultStore`; every request is
-  computed through the worker's arena-batched waves;
+  computed through the worker's waves;
 * **warm** — a *fresh* service process state (cold in-memory LRU) over the
   same store; every request must be served from the DB-backed store.
 

@@ -11,21 +11,28 @@ across PRs.
 Three views are reported:
 
 * **GA batch** — the full generation including duplicates; this is the
-  tuner-visible metric, where digest-level deduplication and the shared
-  arena sweep compound.
+  tuner-visible metric, where digest-level deduplication pays.  Timed in
+  ``PAIRS`` alternating pairs (per-candidate first in even pairs, batched
+  first in odd ones); the reported speedup is the ratio of the medians.
 * **unique only** — the same generation with duplicates removed; isolates
-  the candidate-batch scheduler's arena effect (shared hierarchy, packed
-  cross-candidate arenas) from the dedupe effect.
+  the batch simulator's reused hierarchy from the dedupe effect.  Timed in
+  ``PAIRS`` alternating pairs as well.
 * **engine floor** — ``BatchSimulator.run_batch`` on the unique programs
   with no runner machinery and no scoring: the raw simulation throughput
   the runner can at best approach.
 
 Gates:
 
-* batched GA-batch evals/sec must exceed the per-candidate path by
-  ``BATCHED_MIN_SPEEDUP`` (default 2.0; 1.5 in smoke mode, where small
-  traces and shared runners add noise) — this is the CI gate for the
-  candidate-batch scheduler;
+* paired rule on the GA batch, in smoke and full mode alike: the batched
+  run must be faster in at least ``PAIR_WINS`` of the ``PAIRS`` pairs, and
+  its median time must beat the per-candidate median by more than the
+  per-candidate interquartile range — the CI gate for the batched
+  measurement path;
+* paired no-loss rule on the unique-only row, in smoke and full mode alike:
+  with no duplicates to remove, the batched median may exceed the
+  per-candidate median by at most the per-candidate interquartile range —
+  the guard on the batch simulator's own throughput, which dedupe alone
+  would hide in the GA-batch rule;
 * non-smoke only: batched unique-only runner throughput must stay within
   ``RUNNER_ENGINE_MAX_OVERHEAD`` (2x) of the engine floor — the tuning
   loop is not allowed to cost more than the simulations it schedules;
@@ -38,7 +45,6 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_TUNER_CANDS`` — unique candidates per generation (default 24)
 * ``REPRO_BENCH_TUNER_TRACE`` — simulated accesses per candidate
   (default 40000; smoke 8000)
-* ``BATCHED_MIN_SPEEDUP``     — override the batched-vs-serial floor
 * ``REPRO_BENCH_SMOKE``       — quick correctness pass as used by CI
 """
 
@@ -47,6 +53,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 
 import repro.workloads  # noqa: F401 — registers the tuning templates
@@ -68,11 +75,10 @@ UNIQUE_CANDIDATES = int(os.environ.get("REPRO_BENCH_TUNER_CANDS", "24"))
 TRACE_ACCESSES = int(
     os.environ.get("REPRO_BENCH_TUNER_TRACE", "8000" if SMOKE else "40000")
 )
-#: Acceptance floor: the batched measurement path must deliver at least this
-#: many times the per-candidate path's evals/sec on the GA-style batch.
-BATCHED_MIN_SPEEDUP = float(
-    os.environ.get("BATCHED_MIN_SPEEDUP", "1.5" if SMOKE else "2.0")
-)
+#: Alternating per-candidate/batched pairs timed on the GA batch, and the
+#: pairs the batched run must win.
+PAIRS = 10
+PAIR_WINS = 9
 #: The batched runner may cost at most this factor over raw engine
 #: throughput (non-smoke only).
 RUNNER_ENGINE_MAX_OVERHEAD = 2.0
@@ -87,6 +93,24 @@ def _best_of(fn, rounds=ROUNDS) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _paired_times(first, second):
+    """Wall times of ``first`` and ``second`` over ``PAIRS`` alternating
+    pairs: ``first`` runs first in even pairs, ``second`` in odd ones."""
+    times = ([], [])
+    for pair in range(PAIRS):
+        order = (0, 1) if pair % 2 == 0 else (1, 0)
+        for side in order:
+            start = time.perf_counter()
+            (first, second)[side]()
+            times[side].append(time.perf_counter() - start)
+    return times
+
+
+def _iqr(values) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def _measurement_load():
@@ -140,10 +164,21 @@ def test_bench_tuner_throughput(results_dir):
     dedupe_rate = batched_runner.dedupe_hits / batched_runner.dedupe_lookups
     assert dedupe_rate == 0.5  # half the generation is duplicates
 
-    t_serial = _best_of(lambda: run_per_candidate(ga_builds))
-    t_batched = _best_of(lambda: run_runner(ga_inputs, ga_builds))
-    t_serial_unique = _best_of(lambda: run_per_candidate(unique_builds))
-    t_batched_unique = _best_of(lambda: run_runner(unique_inputs, unique_builds))
+    serial_times, batched_times = _paired_times(
+        lambda: run_per_candidate(ga_builds), lambda: run_runner(ga_inputs, ga_builds)
+    )
+    wins = sum(b < s for s, b in zip(serial_times, batched_times))
+    t_serial = statistics.median(serial_times)
+    t_batched = statistics.median(batched_times)
+    serial_iqr = _iqr(serial_times)
+    serial_unique_times, batched_unique_times = _paired_times(
+        lambda: run_per_candidate(unique_builds),
+        lambda: run_runner(unique_inputs, unique_builds),
+    )
+    unique_wins = sum(b < s for s, b in zip(serial_unique_times, batched_unique_times))
+    t_serial_unique = statistics.median(serial_unique_times)
+    t_batched_unique = statistics.median(batched_unique_times)
+    serial_unique_iqr = _iqr(serial_unique_times)
     unmemoized = RuntimeConfig(memoize=False)
     t_engine = _best_of(
         lambda: BatchSimulator(ARCH, trace_options=trace, config=unmemoized).run_batch(
@@ -188,15 +223,35 @@ def test_bench_tuner_throughput(results_dir):
         "unique_batched_speedup": unique_speedup,
         "runner_vs_engine": engine_ratio,
         "dedupe_hit_rate": dedupe_rate,
-        "min_speedup_gate": BATCHED_MIN_SPEEDUP,
+        "ga_pairs": {
+            "pairs": PAIRS,
+            "batched_wins": wins,
+            "required_wins": PAIR_WINS,
+            "serial_median_s": t_serial,
+            "batched_median_s": t_batched,
+            "serial_iqr_s": serial_iqr,
+        },
+        "unique_pairs": {
+            "pairs": PAIRS,
+            "batched_wins": unique_wins,
+            "serial_median_s": t_serial_unique,
+            "batched_median_s": t_batched_unique,
+            "serial_iqr_s": serial_unique_iqr,
+        },
     }
     (results_dir / "tuner_throughput.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    assert speedup >= BATCHED_MIN_SPEEDUP, (
-        f"batched measurement path delivered only {speedup:.2f}x the per-candidate "
-        f"path on the GA batch (floor {BATCHED_MIN_SPEEDUP}x)"
+    assert wins >= PAIR_WINS and t_serial - t_batched > serial_iqr, (
+        f"batched measurement path won {wins} of {PAIRS} GA-batch pairs (need "
+        f"{PAIR_WINS}); median {t_batched:.3f} s against per-candidate "
+        f"{t_serial:.3f} s, whose IQR is {serial_iqr:.3f} s"
+    )
+    assert t_batched_unique - t_serial_unique <= serial_unique_iqr, (
+        f"batched measurement path is slower than per-candidate on unique "
+        f"candidates: median {t_batched_unique:.4f} s against {t_serial_unique:.4f} s, "
+        f"beyond the per-candidate IQR of {serial_unique_iqr:.4f} s"
     )
     if not SMOKE:
         assert engine_ratio * RUNNER_ENGINE_MAX_OVERHEAD >= 1.0, (

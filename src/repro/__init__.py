@@ -63,9 +63,11 @@ def simulate(program, hierarchy=None, *, config=None, trace_options=None, timeou
 def simulate_batch(
     programs, hierarchy=None, *, config=None, trace_options=None, timeout_s=None
 ):
-    """Simulate many programs on the candidate-batch fast path.
+    """Simulate many programs on one :class:`repro.sim.BatchSimulator`.
 
-    Returns one :class:`repro.sim.SimulationResult` or
+    The programs run one after another on a cache hierarchy built once and
+    reset before each of them.  Returns one
+    :class:`repro.sim.SimulationResult` or
     :class:`repro.sim.SimulationFailure` per program, in input order, with
     per-candidate failure containment (one bad candidate never poisons the
     batch).  Statistics are bit-identical to per-program :func:`simulate`.

@@ -103,15 +103,16 @@ class LocalRunner(Runner):
 class SimulatorRunner(Runner):
     """Custom runner executing autotuning workloads on simulators (Listing 3).
 
-    The measurement batch travels the **candidate-batch scheduler**:
-    identical candidates — which GA populations and model-based tuners
+    Identical candidates — which GA populations and model-based tuners
     produce in numbers — are deduplicated by
     :meth:`~repro.codegen.program.Program.content_digest` *before* any
     simulation (within one runner every other memoization-key component is
     fixed, so digest-level dedupe coincides exactly with memo-key dedupe),
-    the surviving unique programs are submitted as one batch job on the
-    shared-arena fast path, and each unique result is fanned back out to
-    all duplicate positions as an independent copy.  Results stream back
+    the surviving unique programs go to the runner's
+    :class:`~repro.sim.simulator.SimulatorPool` as one batch (one
+    :class:`~repro.sim.simulator.BatchSimulator` per slice), and each unique
+    result is fanned back out to all duplicate positions as an independent
+    copy.  Results stream back
     per candidate (``on_result``) so a tuner's ``update()`` can consume
     them incrementally; callbacks fire strictly in input order as the
     settled prefix grows, because stateful score functions (the

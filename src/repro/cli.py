@@ -95,8 +95,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     candidates = policy.sample_candidates(args.count)
     _, builds = policy.build_candidates(candidates)
-    trace_options = TraceOptions(max_accesses=args.trace, rng_seed=args.rng_seed)
     try:
+        trace_options = TraceOptions(max_accesses=args.trace, rng_seed=args.rng_seed)
         config = RuntimeConfig.from_env()
         if args.replacement is not None:
             config = replace(config, replacement=args.replacement)
@@ -201,6 +201,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ResultStore, ServiceServer, SimulationService, Tenant
 
     try:
+        trace_options = TraceOptions(max_accesses=args.trace) if args.trace else None
         config = RuntimeConfig.from_env()
         knobs = _service_knobs(args)
         breaker = CircuitBreaker(
@@ -234,7 +235,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.import_memo_dir:
         imported = store.import_disk_cache(args.import_memo_dir)
         print(f"imported {imported} entries from {args.import_memo_dir}")
-    trace_options = TraceOptions(max_accesses=args.trace) if args.trace else None
     service = SimulationService(
         args.arch, store, config=config, tenants=tenants, trace_options=trace_options,
         max_queue_depth=knobs["queue_depth"], lease_s=knobs["lease_s"], breaker=breaker,

@@ -683,16 +683,11 @@ class DescriptorArena:
     native kernel can fall back to the per-chunk path, and so equivalence
     tests can replay both representations from one packing.
 
-    ``group_bounds`` optionally partitions the packed chunks into
-    contiguous **chunk groups** (half-open chunk-index offsets, one entry
-    more than there are groups).  Groups give a shared arena per-candidate
-    boundaries: the candidate-batch scheduler packs the chunks of many
-    schedule candidates into one arena and replays each candidate's slice
-    against freshly reset cache state via :meth:`group_view`, so the
-    statistics and forwarded-miss streams of every candidate stay exactly
-    what a dedicated per-candidate run would produce.  Every chunk-row
-    offset is absolute into the shared arrays, so a view is a plain
-    ``chunk_meta`` slice — no data is copied or repacked per group.
+    An arena holds consecutive chunks of one program's trace:
+    :meth:`~repro.sim.cache.Cache.access_descriptor_stream` packs them as
+    the trace walk pulls them and hands each arena to
+    :meth:`~repro.sim.cache.Cache.access_descriptor_arena`, the only
+    consumer.
     """
 
     chunks: List[DescriptorChunk]
@@ -715,90 +710,21 @@ class DescriptorArena:
     #: Deepest grid nesting of any packed batch; the native pipeline walks
     #: grids with a fixed-depth odometer and falls back past its limit.
     max_grid_levels: int
-    #: Half-open chunk-index offsets of the per-candidate chunk groups
-    #: (``None`` = the whole arena is one implicit group).
-    group_bounds: Optional[np.ndarray] = None
 
     @property
     def n_chunks(self) -> int:
         """Number of packed chunks."""
         return len(self.chunks)
 
-    @property
-    def n_groups(self) -> int:
-        """Number of chunk groups (1 when no boundaries were recorded)."""
-        if self.group_bounds is None:
-            return 1
-        return int(self.group_bounds.size - 1)
 
-    def group_view(self, group: int) -> "DescriptorArena":
-        """The ``group``-th chunk group as a zero-copy arena view.
-
-        The view shares every backing array with the parent; only
-        ``chunk_meta`` (and the ``chunks`` fallback list) is sliced, which
-        is sufficient because all chunk-row offsets are absolute.  The
-        scratch-sizing maxima are inherited from the parent — upper bounds
-        are always safe — so one scratch carve serves every group of a
-        sweep.
-        """
-        if self.group_bounds is None:
-            if group != 0:
-                raise IndexError(f"arena has one implicit group, not {group + 1}")
-            return self
-        start, end = int(self.group_bounds[group]), int(self.group_bounds[group + 1])
-        return DescriptorArena(
-            chunks=self.chunks[start:end],
-            total=int(self.chunk_meta[start:end, 0].sum()),
-            chunk_meta=self.chunk_meta[start:end],
-            batch_meta=self.batch_meta,
-            bases=self.bases,
-            counts=self.counts,
-            first_pos=self.first_pos,
-            grids=self.grids,
-            explicit_addresses=self.explicit_addresses,
-            explicit_writes=self.explicit_writes,
-            explicit_positions=self.explicit_positions,
-            max_chunk_total=self.max_chunk_total,
-            max_pos_bound=self.max_pos_bound,
-            max_grid_levels=self.max_grid_levels,
-        )
-
-    def group_views(self) -> Iterator["DescriptorArena"]:
-        """Iterate the chunk groups in packing order (see :meth:`group_view`)."""
-        for group in range(self.n_groups):
-            yield self.group_view(group)
-
-
-def pack_descriptor_arena(
-    chunks: Sequence[DescriptorChunk],
-    group_sizes: Optional[Sequence[int]] = None,
-) -> DescriptorArena:
+def pack_descriptor_arena(chunks: Sequence[DescriptorChunk]) -> DescriptorArena:
     """Pack ``chunks`` into one :class:`DescriptorArena`.
 
     Array data (bases, ragged counts, explicit spans) is concatenated;
     grid levels are recorded as ``(stride, count, pos_stride)`` rows rather
     than expanded.  The packed arena describes exactly the same accesses in
     exactly the same order as walking the chunks one by one.
-
-    ``group_sizes`` optionally records per-candidate chunk-group boundaries
-    (consecutive chunk counts, summing to ``len(chunks)``); the resulting
-    arena exposes each group as a zero-copy slice via
-    :meth:`DescriptorArena.group_view`.  Grouping only annotates the
-    packing — the flat arrays are identical with or without it.
     """
-    group_bounds: Optional[np.ndarray] = None
-    if group_sizes is not None:
-        sizes = np.asarray(list(group_sizes), dtype=np.int64)
-        if sizes.size and sizes.min() < 0:
-            raise ValueError("group_sizes must be non-negative")
-        if int(sizes.sum()) != len(chunks):
-            raise ValueError(
-                f"group_sizes sum to {int(sizes.sum())}, "
-                f"but {len(chunks)} chunks were packed"
-            )
-        group_bounds = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
-        )
     chunk_meta = np.zeros((len(chunks), ARENA_CHUNK_META), dtype=np.int64)
     batch_rows: List[List[int]] = []
     bases_parts: List[np.ndarray] = []
@@ -885,7 +811,6 @@ def pack_descriptor_arena(
         max_chunk_total=max_chunk_total,
         max_pos_bound=max_pos_bound,
         max_grid_levels=max_grid_levels,
-        group_bounds=group_bounds,
     )
 
 
@@ -1361,7 +1286,6 @@ class Program:
         # Programs are immutable once built; digests are computed lazily and
         # cached so memoization keys do not re-serialise the tree per lookup.
         self._content_digest: Optional[str] = None
-        self._descriptor_digest: Optional[str] = None
 
     def _assign_buffer_addresses(self) -> None:
         address = self.BASE_ADDRESS
@@ -1455,45 +1379,6 @@ class Program:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         self._content_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._content_digest
-
-    def descriptor_digest(self) -> str:
-        """A stable hash of the memory-trace structure alone.
-
-        Unlike :meth:`content_digest` this ignores instruction counts and
-        code-size bookkeeping: two programs with the same descriptor digest
-        emit bit-identical memory traces (expanded or descriptor form), so
-        trace-level results can be shared even across programs that differ
-        only in instruction mix.  Cached like :meth:`content_digest`.
-        """
-        if self._descriptor_digest is not None:
-            return self._descriptor_digest
-        payload = {
-            "buffers": [
-                (b.name, b.size_bytes, b.element_bytes, b.base_address) for b in self.buffers
-            ],
-            "nests": [
-                (
-                    nest.loops,
-                    [self._predicate_signature(p) for p in nest.guards],
-                    [
-                        (
-                            access.buffer.name,
-                            sorted(access.coeffs.items()),
-                            access.const,
-                            access.is_store,
-                            access.width,
-                            access.gather_stride,
-                            [self._predicate_signature(p) for p in access.predicates],
-                        )
-                        for access in nest.block.accesses
-                    ],
-                )
-                for nest in self.perfect_nests()
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        self._descriptor_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return self._descriptor_digest
 
     @classmethod
     def _node_signature(cls, node: Node):

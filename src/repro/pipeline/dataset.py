@@ -159,20 +159,18 @@ def generate_group_samples(
     # Over-sample candidates: some may fail to build (they are skipped).
     candidates = policy.sample_candidates(int(n_implementations * 1.3) + 4)
     inputs, build_results = policy.build_candidates(candidates)
-    buildable = [
+    chosen = [
         (index, build) for index, build in enumerate(build_results) if build.ok
-    ]
-    # Simulations stream back from the candidate-batch scheduler while the
-    # loop measures earlier candidates on the board, so the two halves of a
-    # training pair overlap instead of serialising; statistics are
-    # bit-identical to per-candidate Simulator.run.  The default config
-    # retries nothing, so a simulation failure fails the whole group,
-    # exactly like a raising per-candidate run — group-level containment
-    # and retries live in generate_dataset.
-    simulations = simulator.iter_batch([build.program for _, build in buildable])
-    for (index, build), simulation in zip(buildable, simulations):
-        if len(samples) >= n_implementations:
-            break
+    ][: max(n_implementations, 0)]
+    # The batch simulator streams one simulation per chosen candidate, and
+    # the board measures each right after it: the board's memoized
+    # Simulator.run finds the entry just stored, so a training pair walks
+    # its trace once.  Only the chosen candidates are simulated.  The
+    # default config retries nothing, so a simulation failure fails the
+    # whole group, exactly like a raising per-candidate run — group-level
+    # containment and retries live in generate_dataset.
+    simulations = simulator.iter_batch([build.program for _, build in chosen])
+    for (index, build), simulation in zip(chosen, simulations):
         if isinstance(simulation, SimulationFailure):
             raise RuntimeError(
                 f"simulation of candidate {index} ({simulation.program_name!r}) "

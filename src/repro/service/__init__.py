@@ -6,8 +6,8 @@ The serving layer on top of the simulation engine (the ROADMAP's
 an asyncio HTTP service
 (:class:`~repro.service.server.ServiceServer`) with per-tenant API keys,
 quotas and in-flight request coalescing, a
-:class:`~repro.service.worker.SimulationWorker` pool draining misses through
-arena-batched :class:`~repro.sim.BatchSimulator` waves, and a stdlib HTTP
+:class:`~repro.service.worker.SimulationWorker` draining misses in waves of
+jobs streamed through one :class:`~repro.sim.BatchSimulator`, and a stdlib HTTP
 :class:`~repro.service.client.ServiceClient` that plugs into the autotuning
 registry.  Run one with ``python -m repro.cli serve``.
 

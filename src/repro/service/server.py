@@ -335,10 +335,11 @@ class SimulationService:
         from repro.sim.simulator import Simulator, _attempt_program
 
         # Unmemoized on purpose: this runs inside the leader slot of
-        # ``cache.get_or_compute(digest, ...)``, so a memoizing simulator
-        # would re-enter ``get_or_compute`` on the same key and wait on its
-        # own in-flight event.  The leader writes the result through the
-        # cache (and store) under ``digest`` when this returns.
+        # ``cache.get_or_compute(digest, ...)``, and the leader writes the
+        # result through the service's cache (and store) under ``digest``
+        # when this returns; a memoizing simulator would only add a second
+        # copy to the process-wide default cache, which the service never
+        # reads.
         one_off = Simulator(
             self.arch,
             hierarchy,

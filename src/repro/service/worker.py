@@ -4,14 +4,16 @@ Requests that miss the :class:`~repro.service.store.ResultStore` travel two
 ways: ``wait=true`` misses become in-memory :class:`SimulationJob` handles
 their HTTP thread blocks on, while ``wait=false`` misses are written ahead
 to the store's **durable job journal** and claimed here lease-by-lease.  A
-background worker thread gathers both into waves and runs them through
-:class:`~repro.sim.simulator.BatchSimulator.iter_batch` — the shared-arena
-fast path with the full reliability semantics (cooperative per-candidate
-deadlines, retry accounting, per-candidate crash containment).  A crashed
-or erroring candidate settles as a structured
-:class:`~repro.sim.simulator.SimulationFailure` for its own requester only;
-its wave-mates and the worker itself keep going — the same containment
-every ``SimulatorPool`` backend gets from ``iter_batch_resilient``.
+background worker thread gathers both into waves of jobs and streams each
+wave through :meth:`~repro.sim.simulator.BatchSimulator.iter_batch`, one
+per-candidate run after another on the simulator's reused hierarchy, with
+the full reliability semantics (cooperative per-candidate deadlines, retry
+accounting, per-candidate crash containment).  Each job settles as soon as
+its own run finishes.  A crashed or erroring candidate settles as a
+structured :class:`~repro.sim.simulator.SimulationFailure` for its own
+requester only; its wave-mates and the worker itself keep going — the same
+containment every ``SimulatorPool`` backend gets from
+``iter_batch_resilient``.
 
 Above the worker thread sits a **supervisor**: a heartbeat loop that
 restarts the worker if its thread dies (the ``worker_thread_crash``
@@ -43,12 +45,11 @@ from typing import List, Optional
 
 from repro.codegen.program import Program
 from repro.reliability import CircuitBreaker, RetryPolicy, faults
-from repro.sim.simulator import (
-    BATCH_WAVE_CANDIDATES,
-    BatchSimulator,
-    ResilientOutcome,
-    SimulationFailure,
-)
+from repro.sim.simulator import BatchSimulator, ResilientOutcome, SimulationFailure
+
+#: Jobs gathered into one wave: the in-memory queue and journal claims top
+#: a wave up to this many before it runs through the batch simulator.
+MAX_WAVE_JOBS = 64
 
 
 @dataclass
@@ -94,7 +95,7 @@ class SimulationWorker:
         simulator: BatchSimulator,
         timeout_s: float = 0.0,
         retry: Optional[RetryPolicy] = None,
-        max_wave: int = BATCH_WAVE_CANDIDATES,
+        max_wave: int = MAX_WAVE_JOBS,
         poll_s: float = 0.05,
         journal=None,
         lease_s: float = 30.0,

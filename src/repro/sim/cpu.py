@@ -41,8 +41,9 @@ class TraceOptions:
     Statistics are chunking-invariant when ``sample_fraction`` is 1;
     sampled traces keep or drop whole chunks, so pin ``chunk_iterations``
     explicitly when a sampled run must stay reproducible across releases.
-    ``chunk_iterations`` below 1 or a ``sample_fraction`` outside (0, 1]
-    raises ``ValueError`` on construction.
+    A negative ``max_accesses``, ``chunk_iterations`` below 1 or a
+    ``sample_fraction`` outside (0, 1] raises ``ValueError`` on
+    construction.
 
     ``seed`` drives trace *sampling* only.  ``rng_seed`` seeds the
     replayable random-replacement victim stream of the simulated caches
@@ -60,6 +61,10 @@ class TraceOptions:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        # A negative budget would simulate an empty trace under a memo key
+        # of its own, distinct from max_accesses=0.
+        if self.max_accesses is not None and self.max_accesses < 0:
+            raise ValueError(f"max_accesses must be >= 0, got {self.max_accesses}")
         # A chunk of zero iterations never advances the trace walk, so it
         # would never yield and never poll a deadline.
         if self.chunk_iterations < 1:
@@ -143,9 +148,8 @@ class AtomicSimpleCPU:
     ) -> SimulationStats:
         """Build gem5-style statistics from ``counts`` + current cache state.
 
-        Split out of :meth:`run` so batched execution paths that drive the
-        trace themselves (e.g. the candidate-batch scheduler's shared-arena
-        sweep) assemble identical statistics from the same code.  The
+        The last step of :meth:`run`, kept as a method of its own so a
+        traced benchmark run can time statistics assembly as a layer.  The
         hierarchy's counters must reflect exactly one candidate's trace
         (plus :meth:`_model_instruction_fetches`) when this is called.
         """

@@ -112,17 +112,6 @@ class CacheHierarchy:
         """
         return self.l1d.access_descriptors(chunk)
 
-    def access_data_descriptor_arena(self, arena) -> int:
-        """A whole packed descriptor arena through the data path; L1D hits.
-
-        The L1D walks every chunk of the arena in one native call and
-        forwards the combined miss stream to L2 (and onward) as one batch —
-        one dispatch per level per arena instead of one per chunk.  Falls
-        back to per-chunk processing, bit-identically, when the compiled
-        batch kernel is unavailable.
-        """
-        return self.l1d.access_descriptor_arena(arena)
-
     def access_data_descriptor_stream(self, chunks) -> int:
         """A stream of descriptor chunks through the data path; L1D hits.
 

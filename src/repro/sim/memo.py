@@ -14,9 +14,11 @@ as flat statistics snapshots and reconstructed into fresh
 :class:`~repro.sim.stats.SimulationStats` objects on every lookup, so
 callers can never mutate a cached entry through an alias.  The store is
 thread-safe: every backend of :class:`~repro.sim.simulator.SimulatorPool`
-memoizes in the calling process through one cache, and
-:meth:`SimulationCache.get_or_compute` coalesces concurrent requests for one
-key onto a single in-flight computation.
+memoizes in the calling process through one cache.  Simulators look a key
+up, simulate on a miss and store the result;
+:meth:`SimulationCache.get_or_compute`, which coalesces concurrent requests
+for one key onto a single in-flight computation, serves the simulation
+service's HTTP layer.
 
 Memoized statistics match a fresh simulation bit-for-bit except for
 ``sim.host_seconds``, which is rewritten by the caller to the (much smaller)
@@ -145,11 +147,11 @@ class SimulationCache:
         """Serve ``key`` from the cache, computing it at most once per process.
 
         Returns ``(stats, computed)`` where ``computed`` is True when *this*
-        call ran ``compute``.  Concurrent callers for the same key (e.g. the
-        threads backend of the simulator pool evaluating a batch containing
-        duplicate candidates) coalesce onto one in-flight computation: the
-        first caller becomes the **leader** and simulates; the rest block on
-        the leader's event and are then served the freshly cached result.
+        call ran ``compute``.  Concurrent callers for the same key (the
+        service's concurrent ``POST /simulate`` requests for one digest)
+        coalesce onto one in-flight computation: the first caller becomes
+        the **leader** and simulates; the rest block on the leader's event
+        and are then served the freshly cached result.
         If the leader raises, waiters wake, observe the miss, and compete to
         become the next leader — a failed computation never wedges the key.
 

@@ -24,6 +24,10 @@ Two cross-cutting performance features live here:
   statistics of the simulation it is paired with).  Cached statistics are
   bit-identical to a fresh run except ``sim.host_seconds``, which reports
   the cache-lookup time.
+
+A :class:`BatchSimulator` runs a batch as a stream of these per-candidate
+runs on one hierarchy that it builds once and resets before every program;
+pool slices, dataset groups and service waves all go through it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.codegen.program import DescriptorChunk, Program, pack_descriptor_arena
+# pack_descriptor_arena is not called here; the binding stays because
+# perfbench's traced runs wrap it through getattr on this module.
+from repro.codegen.program import Program, pack_descriptor_arena  # noqa: F401
 from repro.reliability import (
     BackendDegradationWarning,
     Deadline,
@@ -48,7 +54,6 @@ from repro.reliability import (
 from repro.reliability import faults
 from repro.sim.configs import CACHE_HIERARCHIES, hierarchy_with_replacement
 from repro.sim.cpu import AtomicSimpleCPU, TraceOptions
-from repro.sim.engine import ARENA_ACCESS_BATCH, ARENA_CHUNK_BATCH, ENGINE_REFERENCE
 from repro.sim.hierarchy import CacheHierarchy, CacheHierarchyConfig
 from repro.sim.memo import SimulationCache, default_simulation_cache
 from repro.sim.runtime_config import RuntimeConfig
@@ -188,24 +193,23 @@ class Simulator:
         return self._run(program)
 
     def _run(self, program: Program) -> SimulationResult:
-        if self.memoize and self.memo_cache is not None:
-            start = time.perf_counter()
-            key = self.memo_cache.make_key(
-                program, self.hierarchy_config, self.trace_options, self.engine
-            )
-            # Coalesced lookup: concurrent requests for the same key (threads
-            # backend, duplicate candidates across slices) block on one
-            # computation instead of simulating redundantly.
-            stats, computed = self.memo_cache.get_or_compute(
-                key, lambda: self._simulate(program)
-            )
-            if not computed:
+        # Look up, simulate on a miss, store; never the coalescing
+        # ``SimulationCache.get_or_compute``: a service worker simulates
+        # inside the HTTP leader's ``get_or_compute`` slot for the same key,
+        # so a coalescing lookup here would wait on itself until the request
+        # timed out.
+        start = time.perf_counter()
+        key = SimulationCache.make_key(
+            program, self.hierarchy_config, self.trace_options, self.engine
+        )
+        memo = self.memo_cache if self.memoize else None
+        if memo is not None:
+            stats = memo.get(key)
+            if stats is not None:
                 return self._cached_result(program, key, stats, start)
-        else:
-            stats = self._simulate(program)
-            key = SimulationCache.make_key(
-                program, self.hierarchy_config, self.trace_options, self.engine
-            )
+        stats = self._simulate(program)
+        if memo is not None:
+            memo.put(key, stats)
         return SimulationResult(
             program_name=program.name,
             arch=self.arch,
@@ -240,59 +244,24 @@ class Simulator:
         return cpu.run(program, self.trace_options)
 
 
-#: Candidates lowered and packed together per wave of the batch simulator.
-#: Bounds the peak memory of materialised descriptor chunks (a wave's chunks
-#: are held until its shared arenas are packed) while keeping enough
-#: programs in flight to fill arena segments across candidate boundaries.
-BATCH_WAVE_CANDIDATES = 64
-
-
-@dataclass
-class _BatchCandidate:
-    """Book-keeping for one program travelling through a batch wave."""
-
-    index: int
-    program: Program
-    key: Optional[str] = None
-    counts: Optional[dict] = None
-    chunks: Optional[List[DescriptorChunk]] = None
-    trace_accesses: int = 0
-    lower_seconds: float = 0.0
-    started_at: float = 0.0
-    error: Optional[BaseException] = None
-    outcome: Optional[ResilientOutcome] = None
-
-
 class BatchSimulator(Simulator):
-    """Candidate-batch scheduler: many programs through one shared simulator.
+    """Many programs through one simulator whose hierarchy is built once.
 
     Where :class:`Simulator` builds a cold :class:`CacheHierarchy` per call,
     the batch simulator constructs the hierarchy **once** and resets it
-    between candidates (:meth:`CacheHierarchy.reset_state` restores the
+    before every candidate (:meth:`CacheHierarchy.reset_state` restores the
     exact cold start: flushed contents, rewound victim stream, zeroed
-    counters), eliminating the dominant per-candidate setup cost of the
-    tuning loop.  On the vectorized engine it additionally lowers a whole
-    *wave* of candidates up front, packs their chunks into shared
-    :class:`~repro.codegen.program.DescriptorArena` segments with
-    per-candidate chunk-group boundaries, and sweeps each candidate's group
-    slice against the reset hierarchy — one dispatch per cache level per
-    group instead of per chunk, with the pooled arena scratch staying warm
-    across the whole wave.
+    counters), which removes the per-candidate setup cost of the tuning
+    loop.  Everything else is the per-candidate route: :meth:`iter_batch`
+    runs each program through :func:`_attempt_program`, so the trace walk,
+    deadlines, failure records and retry accounting are those of a
+    per-candidate run, and statistics are **bit-identical** to
+    :meth:`Simulator.run` on either engine (``sim.host_seconds`` excepted,
+    as with memoized results).
 
-    Statistics are **bit-identical** to per-candidate :meth:`Simulator.run`
-    on either engine (``sim.host_seconds`` excepted, as
-    with memoized results): every candidate still observes a cold
-    hierarchy, and statistics are chunking-invariant, so shared-arena
-    grouping cannot change them.  Reliability semantics survive batching:
-    each candidate carries its own cooperative deadline budget across the
-    lowering and sweep phases, failures are contained per candidate — a
-    crash or deadline inside a wave never poisons its neighbours — and
-    crashed or erroring candidates are re-attempted in isolation under the
-    same retry accounting as per-candidate :func:`_attempt_program`.
-
-    Results stream back in input order as candidates complete
-    (:meth:`iter_batch`), so a tuner's ``update()`` or a dataset builder
-    can consume them incrementally instead of at a generation barrier.
+    Results stream back in input order as candidates complete, so a tuner's
+    ``update()`` or a dataset builder can consume them incrementally
+    instead of at a generation barrier.
     """
 
     def __init__(self, *args, **kwargs):
@@ -336,230 +305,16 @@ class BatchSimulator(Simulator):
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> Iterator[ResilientOutcome]:
-        """Stream one outcome per program, in input order, as they complete.
+        """Stream one outcome per program, in input order, as each completes.
 
-        Failures become :class:`SimulationFailure` records, never raises —
-        outcomes match per-candidate :func:`_attempt_program` containment.
-        The reference engine walks expanded traces, which have no packable
-        descriptor form; its candidates go through :func:`_attempt_program`
-        itself and still benefit from hierarchy reuse.
+        Each program runs through :func:`_attempt_program` on the reused
+        hierarchy, so failures become :class:`SimulationFailure` records
+        (never raises) with the per-candidate deadline and retry accounting.
         """
         retry = retry if retry is not None else self.config.retry
         timeout = float(timeout_s if timeout_s is not None else self.config.timeout_s)
-        if self.engine == ENGINE_REFERENCE:
-            for program in programs:
-                yield _attempt_program(self, program, timeout, retry)
-            return
-        wave: List[_BatchCandidate] = []
-        for index, program in enumerate(programs):
-            wave.append(_BatchCandidate(index=index, program=program))
-            if len(wave) >= BATCH_WAVE_CANDIDATES:
-                yield from self._flush_wave(wave, timeout, retry)
-                wave = []
-        if wave:
-            yield from self._flush_wave(wave, timeout, retry)
-
-    def _flush_wave(
-        self, wave: List[_BatchCandidate], timeout: float, retry: RetryPolicy
-    ) -> Iterator[ResilientOutcome]:
-        """Run one wave: memo → lower → pack shared arenas → sweep → retry."""
-        sweepable = [cand for cand in wave if self._prepare_candidate(cand, timeout)]
-        views = self._pack_wave(sweepable)
-        for cand in sweepable:
-            self._sweep_candidate(cand, views.get(cand.index, []), timeout)
-        for cand in wave:
-            if cand.outcome is None:
-                cand.outcome = self._retry_isolated(cand, timeout, retry)
-            yield cand.outcome
-
-    def _prepare_candidate(self, cand: _BatchCandidate, timeout: float) -> bool:
-        """Memo lookup and descriptor lowering; True when a sweep is due.
-
-        Lowering runs under the candidate's own deadline (polled per
-        lowered chunk); whatever budget it consumes is deducted from the
-        candidate's sweep-phase deadline, so the total stays ``timeout``.
-        """
-        cand.started_at = time.perf_counter()
-        options = self.trace_options
-        try:
-            faults.maybe_crash_worker()
-            if self.memoize and self.memo_cache is not None:
-                cand.key = self.memo_cache.make_key(
-                    cand.program, self.hierarchy_config, options, self.engine
-                )
-                stats = self.memo_cache.get(cand.key)
-                if stats is not None:
-                    cand.outcome = self._cached_result(
-                        cand.program, cand.key, stats, cand.started_at
-                    )
-                    return False
-            deadline = Deadline.after(timeout) if timeout > 0 else None
-            with deadline_scope(deadline):
-                cand.counts = cand.program.instruction_counts()
-                chunks: List[DescriptorChunk] = []
-                total = 0
-                for chunk in cand.program.memory_trace_descriptors(
-                    chunk_iterations=options.chunk_iterations,
-                    max_accesses=options.max_accesses,
-                    sample_fraction=options.sample_fraction,
-                    seed=options.seed,
-                ):
-                    if deadline is not None:
-                        deadline.check("batched descriptor lowering")
-                    chunks.append(chunk)
-                    total += chunk.total
-            cand.chunks = chunks
-            cand.trace_accesses = total
-            cand.lower_seconds = time.perf_counter() - cand.started_at
-            return True
-        except DeadlineExceeded as error:
-            cand.outcome = SimulationFailure(
-                program_name=cand.program.name,
-                kind=SimulationFailure.TIMEOUT,
-                error=str(error),
-                attempts=1,
-                host_seconds=time.perf_counter() - cand.started_at,
-            )
-            return False
-        except Exception as error:  # noqa: BLE001 — containment boundary
-            cand.error = error
-            return False
-
-    def _pack_wave(
-        self, sweepable: List[_BatchCandidate]
-    ) -> Dict[int, List["DescriptorArena"]]:
-        """Pack the wave's chunks into shared arenas with candidate groups.
-
-        Arena segments fill across candidate boundaries up to the same
-        :data:`~repro.sim.engine.ARENA_CHUNK_BATCH` /
-        :data:`~repro.sim.engine.ARENA_ACCESS_BATCH` limits as the
-        single-candidate stream path; a large candidate simply spans
-        several groups in consecutive segments.  Returns each candidate's
-        group views keyed by candidate index, in sweep order.
-        """
-        views: Dict[int, List["DescriptorArena"]] = {}
-        cur_chunks: List[DescriptorChunk] = []
-        cur_sizes: List[int] = []
-        cur_cands: List[_BatchCandidate] = []
-        cur_accesses = 0
-
-        def flush() -> None:
-            nonlocal cur_chunks, cur_sizes, cur_cands, cur_accesses
-            if not cur_chunks:
-                return
-            arena = pack_descriptor_arena(cur_chunks, group_sizes=cur_sizes)
-            for group, cand in enumerate(cur_cands):
-                views.setdefault(cand.index, []).append(arena.group_view(group))
-            cur_chunks, cur_sizes, cur_cands, cur_accesses = [], [], [], 0
-
-        for cand in sweepable:
-            views.setdefault(cand.index, [])  # zero-access candidates sweep empty
-            new_group = True
-            for chunk in cand.chunks or []:
-                if cur_chunks and (
-                    len(cur_chunks) >= ARENA_CHUNK_BATCH
-                    or cur_accesses >= ARENA_ACCESS_BATCH
-                ):
-                    flush()
-                    new_group = True
-                if new_group:
-                    cur_sizes.append(0)
-                    cur_cands.append(cand)
-                    new_group = False
-                cur_chunks.append(chunk)
-                cur_sizes[-1] += 1
-                cur_accesses += chunk.total
-        flush()
-        return views
-
-    def _sweep_candidate(
-        self, cand: _BatchCandidate, views: List["DescriptorArena"], timeout: float
-    ) -> None:
-        """Replay one candidate's group slices against the reset hierarchy."""
-        cpu = self._shared_cpu()
-        sweep_start = time.perf_counter()
-        try:
-            deadline = None
-            if timeout > 0:
-                deadline = Deadline.after(timeout - cand.lower_seconds)
-                deadline.check("batched arena sweep")
-            cpu.hierarchy.reset_state()
-            with deadline_scope(deadline):
-                for view in views:
-                    if deadline is not None:
-                        deadline.check("batched arena sweep")
-                    cpu.hierarchy.access_data_descriptor_arena(view)
-                cpu._model_instruction_fetches(cand.program, cand.counts)
-            host = cand.lower_seconds + (time.perf_counter() - sweep_start)
-            stats = cpu.assemble_stats(cand.counts, cand.trace_accesses, host)
-            if cand.key is not None:
-                self.memo_cache.put(cand.key, stats)
-            cand.outcome = SimulationResult(
-                program_name=cand.program.name,
-                arch=self.arch,
-                stats=stats,
-                trace_accesses=cand.trace_accesses,
-                host_seconds=host,
-                sim_digest=cand.key
-                or SimulationCache.make_key(
-                    cand.program, self.hierarchy_config, self.trace_options, self.engine
-                ),
-            )
-        except DeadlineExceeded as error:
-            cand.outcome = SimulationFailure(
-                program_name=cand.program.name,
-                kind=SimulationFailure.TIMEOUT,
-                error=str(error),
-                attempts=1,
-                host_seconds=cand.lower_seconds + (time.perf_counter() - sweep_start),
-            )
-        except Exception as error:  # noqa: BLE001 — containment boundary
-            cand.error = error  # isolated retry decides kind and accounting
-
-    def _retry_isolated(
-        self, cand: _BatchCandidate, timeout: float, retry: RetryPolicy
-    ) -> ResilientOutcome:
-        """Re-attempt a crashed or erroring candidate alone, serial-style.
-
-        The batch pass was attempt 1; attempt numbering, backoff delays and
-        the final ``attempts`` count match :func:`_attempt_program` on a
-        deterministic failure, so batched retry accounting is
-        indistinguishable from the per-candidate oracle.  Timeouts stay
-        final, crashes and errors are retried.
-        """
-        error = cand.error
-        attempt = 1
-        while True:
-            kind = (
-                SimulationFailure.CRASH
-                if isinstance(error, InjectedWorkerCrash)
-                else SimulationFailure.ERROR
-            )
-            if attempt >= retry.max_attempts:
-                return SimulationFailure(
-                    program_name=cand.program.name,
-                    kind=kind,
-                    error=f"{type(error).__name__}: {error}",
-                    attempts=attempt,
-                    host_seconds=time.perf_counter() - cand.started_at,
-                )
-            time.sleep(retry.delay_s(attempt, key=cand.program.name))
-            attempt += 1
-            try:
-                faults.maybe_crash_worker()
-                return self.run(
-                    cand.program, timeout_s=timeout if timeout > 0 else None
-                )
-            except DeadlineExceeded as deadline_error:
-                return SimulationFailure(
-                    program_name=cand.program.name,
-                    kind=SimulationFailure.TIMEOUT,
-                    error=str(deadline_error),
-                    attempts=attempt,
-                    host_seconds=time.perf_counter() - cand.started_at,
-                )
-            except Exception as next_error:  # noqa: BLE001 — containment boundary
-                error = next_error
+        for program in programs:
+            yield _attempt_program(self, program, timeout, retry)
 
 
 def _attempt_program(
@@ -580,7 +335,7 @@ def _attempt_program(
         attempt += 1
         try:
             faults.maybe_crash_worker()
-            return simulator.run(program, timeout_s=timeout_s if timeout_s > 0 else None)
+            return simulator.run(program, timeout_s=timeout_s)
         except DeadlineExceeded as error:
             return SimulationFailure(
                 program_name=program.name,
@@ -638,16 +393,16 @@ class SimulatorPool:
 
     The paper's simulator interface exposes exactly this knob: each schedule
     implementation runs in its own simulator instance, and ``n_parallel``
-    instances run concurrently on the host.  Every backend executes on the
-    candidate-batch core (:class:`BatchSimulator`), one batch simulator per
-    contiguous slice of the program list:
+    instances run concurrently on the host.  Every backend runs one
+    :class:`BatchSimulator` per contiguous slice of the program list:
 
     * ``"serial"`` — one batch simulator, programs back to back (the default).
     * ``"threads"`` — ``n_parallel`` worker threads, each owning one slice.
       The engines spend their time inside NumPy and compiled kernels that
       release the interpreter lock, so threads deliver parallelism without
       the process-spawn and pickling overhead of ``"processes"``.  All
-      workers share the process-wide memoization cache.
+      workers look up and store results in the process-wide memoization
+      cache.
     * ``"processes"`` — one OS process per slice.  Memoization stays in the
       calling process, as on the other backends: each program's memo key is
       looked up in :func:`~repro.sim.memo.default_simulation_cache` before
@@ -656,9 +411,8 @@ class SimulatorPool:
       ``sim_digest``.
 
     Engine, memoization, the per-candidate budget (``config.timeout_s``,
-    enforced cooperatively inside lowering and the trace sweep, with a
-    pool-kill backstop on the ``processes`` backend) and the retry policy
-    all come from ``config``.
+    polled once per trace chunk, with a pool-kill backstop on the
+    ``processes`` backend) and the retry policy all come from ``config``.
     """
 
     arch: str
@@ -706,10 +460,9 @@ class SimulatorPool:
 
         * each candidate runs under the ``config.timeout_s`` deadline, so a
           hung candidate yields a ``timeout`` failure instead of blocking;
-        * crashed or erroring candidates are retried in isolation per
-          ``config.retry`` (deterministic exponential backoff), then
-          recorded as failures — the same accounting as
-          :func:`_attempt_program`;
+        * crashed or erroring candidates are retried alone by
+          :func:`_attempt_program` per ``config.retry`` (deterministic
+          exponential backoff), then recorded as failures;
         * a broken or wedged process pool is terminated and respawned up to
           ``max_pool_respawns`` times, re-running only unfinished slices;
         * past the respawn budget the remaining slices degrade
@@ -717,7 +470,7 @@ class SimulatorPool:
           per-candidate containment re-runs serially, each step announced
           by a :class:`~repro.reliability.BackendDegradationWarning`.
 
-        The ``serial`` backend streams per candidate (wave-buffered); the
+        The ``serial`` backend streams per candidate; the
         ``threads`` backend streams slice by slice as workers finish; the
         ``processes`` backend serves memo hits from the caller and yields
         each slice of misses once its respawn loop has settled it.

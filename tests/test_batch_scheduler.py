@@ -1,15 +1,15 @@
-"""Candidate-batch scheduler: batched vs per-candidate equivalence.
+"""Batch simulator and batched runner: equivalence with per-candidate runs.
 
-The central hypothesis of the batch scheduler (and of the arena fast path it
-rides on): *statistics are chunking-invariant*.  Packing many candidates'
-descriptor chunks into shared arenas, sweeping them on one reused hierarchy
-and fanning deduplicated results back out must be bit-identical — same
+``BatchSimulator.iter_batch`` runs every candidate through
+``_attempt_program`` on one hierarchy that it builds once and resets
+between candidates, and ``SimulatorRunner`` deduplicates a generation and
+fans the unique results back out.  Both must be bit-identical — same
 statistics, same error mapping, same retry accounting, same tuner
-trajectory — to simulating every candidate alone.  The per-candidate side
-of every comparison is the oracle: one cold ``Simulator.run`` (or
-``_attempt_program`` for failure accounting) per candidate, in input order.
-``sim.host_seconds`` is the single wall-clock observable excluded from the
-comparison.
+trajectory — to simulating every candidate alone on a cold hierarchy.  The
+per-candidate side of every comparison is the oracle: one cold
+``Simulator.run`` (or ``_attempt_program`` for failure accounting) per
+candidate, in input order.  ``sim.host_seconds`` is the single wall-clock
+observable excluded from the comparison.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.autotune import (
 )
 from repro.autotune.measure import BuildResult, MeasureErrorNo, MeasureResult, Runner
 from repro.codegen import Target
-from repro.codegen.program import pack_descriptor_arena
 from repro.reliability import Deadline, DeadlineExceeded, RetryPolicy, deadline_scope
 from repro.reliability import faults
 from repro.sim import (
@@ -93,66 +92,6 @@ def assert_bit_identical(batched, serial):
     for b, s in zip(batched, serial):
         assert isinstance(b, SimulationResult), b
         assert flat(b) == flat(s)
-
-
-# ---------------------------------------------------------------------------
-# Arena candidate groups
-# ---------------------------------------------------------------------------
-
-
-class TestArenaGroups:
-    def _chunks(self, program):
-        return list(program.memory_trace_descriptors(max_accesses=TRACE.max_accesses))
-
-    def test_group_bounds_partition_the_chunks(self, programs):
-        per_candidate = [self._chunks(p) for p in programs[:3]]
-        sizes = [len(chunks) for chunks in per_candidate]
-        arena = pack_descriptor_arena(
-            [c for chunks in per_candidate for c in chunks], group_sizes=sizes
-        )
-        assert arena.n_groups == 3
-        assert list(arena.group_bounds) == [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
-        for g, chunks in enumerate(per_candidate):
-            view = arena.group_view(g)
-            assert view.total == sum(c.total for c in chunks)
-            assert list(view.chunks) == chunks
-            assert view.chunk_meta.shape[0] == len(chunks)
-
-    def test_group_views_share_backing_arrays(self, programs):
-        chunks = self._chunks(programs[0]) + self._chunks(programs[1])
-        sizes = [len(chunks) - 2, 2]
-        arena = pack_descriptor_arena(chunks, group_sizes=sizes)
-        for view in arena.group_views():
-            assert view.max_chunk_total == arena.max_chunk_total
-            assert view.max_pos_bound == arena.max_pos_bound
-            assert view.max_grid_levels == arena.max_grid_levels
-
-    def test_empty_group_is_allowed(self, programs):
-        chunks = self._chunks(programs[0])
-        arena = pack_descriptor_arena(chunks, group_sizes=[0, len(chunks)])
-        assert arena.group_view(0).total == 0
-        assert arena.group_view(1).total == arena.total
-
-    def test_bad_group_sizes_are_rejected(self, programs):
-        chunks = self._chunks(programs[0])
-        with pytest.raises(ValueError):
-            pack_descriptor_arena(chunks, group_sizes=[len(chunks) - 1])
-        with pytest.raises(ValueError):
-            pack_descriptor_arena(chunks, group_sizes=[-1, len(chunks) + 1])
-
-    def test_ungrouped_arena_has_one_implicit_group(self, programs):
-        chunks = self._chunks(programs[0])
-        arena = pack_descriptor_arena(chunks)
-        assert arena.n_groups == 1
-        assert arena.group_view(0).total == arena.total
-        with pytest.raises(IndexError):
-            arena.group_view(1)
-
-    def test_group_view_out_of_range(self, programs):
-        chunks = self._chunks(programs[0])
-        arena = pack_descriptor_arena(chunks, group_sizes=[len(chunks)])
-        with pytest.raises(IndexError):
-            arena.group_view(1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +167,62 @@ class TestBatchSimulatorEquivalence:
             "arm", trace_options=TraceOptions(max_accesses=7_000), config=UNMEMOIZED
         ).run(programs[0])
         assert other.sim_digest != serial.sim_digest
+
+
+class TestBatchSimulatorRoute:
+    """The batch simulator is the per-candidate route on a reused hierarchy."""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_hierarchy_is_built_once(self, programs, engine, monkeypatch):
+        built = []
+
+        class CountingHierarchy(simulator_module.CacheHierarchy):
+            def __init__(self, *args, **kwargs):
+                built.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "CacheHierarchy", CountingHierarchy)
+        config = RuntimeConfig(engine=engine, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=config)
+        batched = batch.run_batch(programs)
+        assert len(built) == 1
+        oracle = [Simulator("arm", trace_options=TRACE, config=config).run(p) for p in programs]
+        assert_bit_identical(batched, oracle)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_memo_lookup_never_coalesces(self, programs, engine, monkeypatch):
+        """A service worker simulates inside the HTTP leader's
+        ``get_or_compute`` slot for the same key; a coalescing lookup in a
+        simulator would wait on itself."""
+        memo = SimulationCache()
+
+        def refuse(key, compute):
+            raise AssertionError("a simulator must not coalesce")
+
+        monkeypatch.setattr(memo, "get_or_compute", refuse)
+        config = RuntimeConfig(engine=engine)
+        batch = BatchSimulator("arm", trace_options=TRACE, memo_cache=memo, config=config)
+        first = batch.run_batch(programs)
+        assert not any(result.cached for result in first)
+        assert len(memo) == len(programs)
+        assert all(result.cached for result in batch.run_batch(programs))
+        solo = Simulator("arm", trace_options=TRACE, memo_cache=memo, config=config)
+        assert all(solo.run(program).cached for program in programs)
+        other = Simulator(
+            "arm", trace_options=TraceOptions(max_accesses=7_000), memo_cache=memo, config=config
+        )
+        assert not other.run(programs[0]).cached
+        assert other.run(programs[0]).cached
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_explicit_zero_timeout_is_unlimited(self, programs, engine):
+        config = RuntimeConfig(engine=engine, memoize=False, timeout_s=1e-9)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=config)
+        assert all(
+            isinstance(outcome, SimulationFailure) for outcome in batch.iter_batch(programs[:2])
+        )
+        outcomes = list(batch.iter_batch(programs[:2], timeout_s=0))
+        assert all(isinstance(outcome, SimulationResult) for outcome in outcomes)
 
 
 # ---------------------------------------------------------------------------

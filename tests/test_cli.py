@@ -49,6 +49,11 @@ class TestCommands:
         assert "t_ref [ms]" in output
         assert "group 1 on riscv" in output
 
+    def test_simulate_rejects_a_negative_trace_budget(self, capsys):
+        exit_code = main(["simulate", "--scale", "0.1", "--count", "1", "--trace", "-5"])
+        assert exit_code == 2
+        assert "invalid runtime configuration" in capsys.readouterr().err
+
     def test_eq4_prints_ranges(self, capsys):
         exit_code = main(["eq4", "--scale", "0.12", "--count", "1", "--trace", "8000"])
         assert exit_code == 0

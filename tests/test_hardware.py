@@ -24,10 +24,13 @@ from repro.hardware import (
     TimingModel,
     cpu_spec_for,
 )
+import repro.pipeline.dataset as dataset_module
+import repro.sim.memo as memo_module
 from repro.pipeline.dataset import DatasetConfig, generate_dataset
 from repro.sim import (
     BatchSimulator,
     CacheHierarchy,
+    SimulationCache,
     Simulator,
     TraceOptions,
     default_simulation_cache,
@@ -301,9 +304,9 @@ class TestBoardReadsTheSimulation:
         assert self._memo_counts() == (hits, misses + 1)
 
     def test_boards_on_many_threads_agree(self, conv_programs):
-        """Boards on concurrent threads share the process-wide memo (the
-        first request per program computes, the rest coalesce onto it or
-        hit); every time must still equal the board's own walk."""
+        """Boards on concurrent threads share the process-wide memo (a
+        request that misses simulates and stores, the rest hit); every time
+        must still equal the board's own walk."""
         options = TraceOptions(max_accesses=17_047)
         expected = {
             arch: reference_undisturbed_time(TargetBoard(arch, trace_options=options), program)
@@ -334,10 +337,30 @@ class TestBoardReadsTheSimulation:
         clone = pickle.loads(pickle.dumps(board))
         assert clone.undisturbed_time(conv_programs["arm"]) == before
 
-    def test_a_training_pair_walks_its_trace_once(self, monkeypatch):
+    @pytest.mark.parametrize("memo_entries", [None, 2])
+    def test_a_training_pair_walks_its_trace_once(self, monkeypatch, memo_entries):
         """Serial dataset generation on an empty memo pulls no descriptor
-        chunk inside ``TargetBoard.measure``: the board reads the pair's
-        simulation."""
+        chunk inside ``TargetBoard.measure`` and simulates each of the ``n``
+        candidates a group keeps exactly once: the board reads the pair's
+        simulation right after it is stored, so a two-entry default cache
+        (``memo_entries=2``) serves it as well as the default one."""
+        if memo_entries is None:
+            memo = default_simulation_cache()
+            memo.clear()
+        else:
+            memo = SimulationCache(maxsize=memo_entries)
+            monkeypatch.setattr(memo_module, "_DEFAULT_CACHE", memo)
+        misses_per_group = []
+        generate_group = dataset_module.generate_group_samples
+
+        def counting_group(*args, **kwargs):
+            before = memo.misses
+            try:
+                return generate_group(*args, **kwargs)
+            finally:
+                misses_per_group.append(memo.misses - before)
+
+        monkeypatch.setattr(dataset_module, "generate_group_samples", counting_group)
         pulled = {"board": 0, "elsewhere": 0}
         inside = []
         measure = TargetBoard.measure
@@ -357,7 +380,6 @@ class TestBoardReadsTheSimulation:
 
         monkeypatch.setattr(TargetBoard, "measure", counting_measure)
         monkeypatch.setattr(Program, "memory_trace_descriptors", counting_descriptors)
-        default_simulation_cache().clear()
         dataset = generate_dataset(
             DatasetConfig(
                 "x86",
@@ -370,3 +392,4 @@ class TestBoardReadsTheSimulation:
         assert len(dataset) == 6
         assert pulled["elsewhere"] > 0
         assert pulled["board"] == 0
+        assert misses_per_group == [3, 3]

@@ -819,6 +819,42 @@ class TestServiceHTTP:
 # ---------------------------------------------------------------------------
 
 
+class TestWorkerNeverWaitsOnItsLeader:
+    """A ``wait=true`` miss runs inside the HTTP leader's ``get_or_compute``
+    slot for its digest, and the worker simulates under the same key.  The
+    worker must not coalesce onto that slot: the request would wait on
+    itself until ``wait_timeout_s`` ran out and answer 500."""
+
+    WAIT_S = 4.0
+
+    def _simulate_miss(self, program, config):
+        store = ResultStore(":memory:")
+        service = SimulationService("arm", store, config=config, wait_timeout_s=self.WAIT_S)
+        try:
+            start = time.perf_counter()
+            status, body = service.handle_simulate(_simulate_payload(program, wait=True))
+            elapsed = time.perf_counter() - start
+        finally:
+            service.close()
+            store.close()
+        assert status == 200, body
+        assert elapsed < self.WAIT_S
+        stats = dict(body["stats"])
+        stats.pop("sim.host_seconds")
+        return stats
+
+    def test_reference_engine_miss_settles(self, programs):
+        stats = self._simulate_miss(programs[0], RuntimeConfig(engine="reference"))
+        assert stats == flat(Simulator("arm", config=RuntimeConfig(memoize=False)).run(programs[0]))
+
+    def test_miss_retried_after_a_crash_settles(self, programs):
+        registry = faults.configure("worker_crash:once;seed=1")
+        retry = RetryPolicy(max_attempts=2, base_delay_s=0, jitter=0)
+        stats = self._simulate_miss(programs[1], RuntimeConfig(retry=retry))
+        assert registry.fires.get("worker_crash") == 1
+        assert stats == flat(Simulator("arm", config=RuntimeConfig(memoize=False)).run(programs[1]))
+
+
 class TestServeCli:
     def test_serve_check_validates_and_exits_cleanly(self, capsys):
         from repro.cli import main
@@ -887,6 +923,12 @@ class TestServeCli:
 
         monkeypatch.setenv(variable, value)
         assert main(["serve", "--check"]) == 2
+        assert "invalid runtime configuration" in capsys.readouterr().err
+
+    def test_serve_rejects_a_negative_trace_budget(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--check", "--trace", "-5"]) == 2
         assert "invalid runtime configuration" in capsys.readouterr().err
 
     def test_serve_check_reports_the_service_knobs(self, monkeypatch, capsys):

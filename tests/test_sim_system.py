@@ -99,18 +99,22 @@ class TestTraceOptions:
             ({"sample_fraction": -0.5}, "sample_fraction"),
             ({"sample_fraction": 1.5}, "sample_fraction"),
             ({"sample_fraction": float("nan")}, "sample_fraction"),
+            ({"max_accesses": -1}, "max_accesses"),
         ],
     )
     def test_construction_rejects_out_of_range_values(self, fields, error):
         """A chunk of no iterations never advances the walk, so a simulation
         on it would hang past any deadline; a bad fraction would fail once
-        per candidate.  Both are refused when the options are built."""
+        per candidate; a negative budget would simulate an empty trace under
+        a memo key of its own.  All are refused when the options are built."""
         with pytest.raises(ValueError, match=error):
             TraceOptions(**fields)
 
     def test_boundary_values_are_accepted(self):
-        options = TraceOptions(chunk_iterations=1, sample_fraction=1.0)
-        assert (options.chunk_iterations, options.sample_fraction) == (1, 1.0)
+        options = TraceOptions(max_accesses=0, chunk_iterations=1, sample_fraction=1.0)
+        assert (options.max_accesses, options.chunk_iterations, options.sample_fraction) == (
+            0, 1, 1.0,
+        )
 
 
 class TestCpuAndSimulator:

@@ -700,11 +700,6 @@ class TestTraceModePlumbing:
 
 
 class TestProgramDescriptorApi:
-    def test_descriptor_digest_stable_and_cached(self, conv_program_x86):
-        first = conv_program_x86.descriptor_digest()
-        assert first == conv_program_x86.descriptor_digest()
-        assert first != conv_program_x86.content_digest()
-
     def test_buffer_by_name_dict_semantics(self):
         buffers = [Buffer("x", 256, 4), Buffer("y", 256, 4)]
         program = build_program(buffers, [Block()])
