@@ -201,7 +201,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ResultStore, ServiceServer, SimulationService, Tenant
 
     try:
-        trace_options = TraceOptions(max_accesses=args.trace) if args.trace else None
+        trace_options = (
+            TraceOptions(max_accesses=args.trace) if args.trace is not None else None
+        )
         config = RuntimeConfig.from_env()
         knobs = _service_knobs(args)
         breaker = CircuitBreaker(
@@ -232,9 +234,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             rate_limit=args.rate_limit, rate_window_s=args.rate_window,
         )
     store = ResultStore(args.db, max_entries=args.max_entries, max_age_s=args.max_age)
-    if args.import_memo_dir:
-        imported = store.import_disk_cache(args.import_memo_dir)
-        print(f"imported {imported} entries from {args.import_memo_dir}")
     service = SimulationService(
         args.arch, store, config=config, tenants=tenants, trace_options=trace_options,
         max_queue_depth=knobs["queue_depth"], lease_s=knobs["lease_s"], breaker=breaker,
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="age eviction window in seconds (0 = none)")
     serve.add_argument("--trace", type=int, default=None,
                        help="simulated memory references per request (default: unbounded)")
-    serve.add_argument("--import-memo-dir", default=None,
-                       help="import an existing flat-file memo directory on startup")
     serve.add_argument("--check", action="store_true",
                        help="validate the runtime configuration and store, then exit")
     serve.set_defaults(func=cmd_serve)

@@ -346,24 +346,19 @@ class AccessRunBatch:
 
 @dataclass
 class DescriptorChunk:
-    """One trace chunk as compressed run descriptors plus an explicit span.
+    """One trace chunk as compressed affine run batches.
 
     ``total`` counts the accesses actually performed; ``pos_bound`` is an
     exclusive upper bound on every trace position in the chunk (positions are
-    uncompacted, so ``pos_bound >= total``).  ``addresses``/``writes``/
-    ``positions`` hold an optional materialised span — the escape hatch for
-    accesses a producer cannot express as affine runs.  The built-in emitter
-    never needs it (predicates fold into per-window interval clipping and
-    truncation clips run batches analytically), but consumers support mixed
-    chunks so alternative emitters can interleave explicit members.
+    uncompacted, so ``pos_bound >= total``).  Every access is a member of
+    one of ``batches``: predicates fold into per-window interval clipping and
+    truncation clips run batches analytically, so no access ever needs a
+    materialised address.
     """
 
     total: int
     pos_bound: int
     batches: List[AccessRunBatch] = field(default_factory=list)
-    addresses: Optional[np.ndarray] = None  # (E,) int64 byte addresses
-    writes: Optional[np.ndarray] = None  # (E,) bool
-    positions: Optional[np.ndarray] = None  # (E,) int64 trace positions
 
     def expand(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the chunk as ``(addresses, is_write)`` in trace order.
@@ -379,10 +374,6 @@ class DescriptorChunk:
             parts_addr.append(addresses)
             parts_pos.append(positions)
             parts_write.append(np.full(addresses.shape, batch.is_write, dtype=bool))
-        if self.addresses is not None and self.addresses.size:
-            parts_addr.append(self.addresses)
-            parts_pos.append(self.positions)
-            parts_write.append(self.writes)
         if not parts_addr:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool)
         addresses = np.concatenate(parts_addr)
@@ -423,28 +414,11 @@ class DescriptorChunk:
         batches = []
         for batch in self.batches:
             batches.extend(_clip_batch(batch, cutoff))
-        addresses = writes = span_positions = None
-        if self.positions is not None and self.positions.size:
-            alive = self.positions < cutoff
-            addresses = self.addresses[alive]
-            writes = self.writes[alive]
-            span_positions = self.positions[alive]
-        return DescriptorChunk(
-            total=keep,
-            pos_bound=cutoff,
-            batches=batches,
-            addresses=addresses,
-            writes=writes,
-            positions=span_positions,
-        )
+        return DescriptorChunk(total=keep, pos_bound=cutoff, batches=batches)
 
     def nbytes(self) -> int:
-        """Storage footprint of the chunk (descriptors plus explicit span)."""
-        size = sum(batch.nbytes() for batch in self.batches)
-        for array in (self.addresses, self.writes, self.positions):
-            if array is not None:
-                size += array.nbytes
-        return size
+        """Storage footprint of the chunk's run descriptors."""
+        return sum(batch.nbytes() for batch in self.batches)
 
 
 def _clip_runs(batch: AccessRunBatch, cutoff: int) -> Optional[AccessRunBatch]:
@@ -512,9 +486,6 @@ class _MemberCounter:
         self.batches = [self._prepare(batch) for batch in chunk.batches]
         runs = max((first_pos.size for _, first_pos, _, _ in self.batches), default=0)
         self.buffer = np.empty(runs, dtype=np.int64)  # shared by every batch's pass
-        self.span = None
-        if chunk.positions is not None and chunk.positions.size:
-            self.span = np.sort(chunk.positions)
 
     @staticmethod
     def _prepare(batch: AccessRunBatch):
@@ -551,8 +522,6 @@ class _MemberCounter:
                 np.negative(buffer, out=buffer)
                 np.clip(buffer, 0, counts, out=buffer)
                 counted += int(buffer.sum())
-        if self.span is not None:
-            counted += int(np.searchsorted(self.span, cutoff))
         return counted
 
 
@@ -643,7 +612,7 @@ def _clip_batch(batch: AccessRunBatch, cutoff: int) -> List[AccessRunBatch]:
 # ---------------------------------------------------------------------------
 
 #: Number of int64 columns in :attr:`DescriptorArena.chunk_meta`.
-ARENA_CHUNK_META = 7
+ARENA_CHUNK_META = 5
 #: Number of int64 columns in :attr:`DescriptorArena.batch_meta`.
 ARENA_BATCH_META = 7
 
@@ -654,18 +623,18 @@ class DescriptorArena:
 
     The arena is the wire format of the native descriptor pipeline
     (:mod:`repro.sim._native`): every chunk of the batch is described by
-    contiguous ``int64`` arrays, so one foreign call can walk all of them
-    without touching Python objects per chunk.  Grid batches are packed as
-    grids — the replication levels are *not* expanded — and the packing is
-    pure bookkeeping (offset arithmetic plus a handful of concatenations),
-    so its cost is per batch and per chunk, never per access.
+    contiguous ``int64`` run arrays, so one foreign call can walk all of
+    them without touching Python objects per chunk.  Grid batches are
+    packed as grids — the replication levels are *not* expanded — and the
+    packing is pure bookkeeping (offset arithmetic plus a handful of
+    concatenations), so its cost is per batch and per chunk, never per
+    access.
 
     Layout (all arrays ``int64`` unless noted, all offsets half-open):
 
     * ``chunk_meta[c] = (total, pos_bound, batch_start, batch_end,
-      explicit_start, explicit_end, pos_stride)`` — ``pos_stride`` is the
-      chunk-uniform trace-position stride of its batches (1 when the chunk
-      has none).
+      pos_stride)`` — ``pos_stride`` is the chunk-uniform trace-position
+      stride of its batches (1 when the chunk has none).
     * ``batch_meta[b] = (is_write, stride, pos_stride, run_start, run_end,
       grid_start, grid_end)``.
     * ``bases`` / ``counts`` / ``first_pos`` — the stored runs, run-aligned
@@ -675,9 +644,6 @@ class DescriptorArena:
       access, so uniform C-side indexing wins over the two extra arrays.
     * ``grids[grid_start:grid_end] = (stride, count, pos_stride)`` rows,
       outermost level first.
-    * ``explicit_addresses`` / ``explicit_writes`` (bool) /
-      ``explicit_positions`` — the chunks' explicit member spans,
-      concatenated.
 
     ``chunks`` keeps the packed chunk objects so consumers without the
     native kernel can fall back to the per-chunk path, and so equivalence
@@ -698,9 +664,6 @@ class DescriptorArena:
     counts: np.ndarray
     first_pos: np.ndarray
     grids: np.ndarray
-    explicit_addresses: np.ndarray
-    explicit_writes: np.ndarray
-    explicit_positions: np.ndarray
     #: Largest single-chunk access count — the per-chunk scratch capacity
     #: the native pipeline needs (heads never outnumber members).
     max_chunk_total: int
@@ -720,7 +683,7 @@ class DescriptorArena:
 def pack_descriptor_arena(chunks: Sequence[DescriptorChunk]) -> DescriptorArena:
     """Pack ``chunks`` into one :class:`DescriptorArena`.
 
-    Array data (bases, ragged counts, explicit spans) is concatenated;
+    Run data (bases, ragged counts, first positions) is concatenated;
     grid levels are recorded as ``(stride, count, pos_stride)`` rows rather
     than expanded.  The packed arena describes exactly the same accesses in
     exactly the same order as walking the chunks one by one.
@@ -731,11 +694,7 @@ def pack_descriptor_arena(chunks: Sequence[DescriptorChunk]) -> DescriptorArena:
     counts_parts: List[np.ndarray] = []
     first_pos_parts: List[np.ndarray] = []
     grid_rows: List[Tuple[int, int, int]] = []
-    explicit_addr_parts: List[np.ndarray] = []
-    explicit_write_parts: List[np.ndarray] = []
-    explicit_pos_parts: List[np.ndarray] = []
     run_at = 0
-    explicit_at = 0
     total = 0
     max_chunk_total = 0
     max_pos_bound = 0
@@ -769,30 +728,18 @@ def pack_descriptor_arena(chunks: Sequence[DescriptorChunk]) -> DescriptorArena:
                 ]
             )
             run_at += n_runs
-        explicit_start = explicit_at
-        if chunk.addresses is not None and chunk.addresses.size:
-            explicit_addr_parts.append(chunk.addresses.astype(np.int64, copy=False))
-            explicit_write_parts.append(chunk.writes)
-            explicit_pos_parts.append(chunk.positions)
-            explicit_at += int(chunk.addresses.size)
         pos_stride = chunk.batches[0].pos_stride if chunk.batches else 1
         chunk_meta[index] = (
-            chunk.total,
-            chunk.pos_bound,
-            batch_start,
-            len(batch_rows),
-            explicit_start,
-            explicit_at,
-            pos_stride,
+            chunk.total, chunk.pos_bound, batch_start, len(batch_rows), pos_stride
         )
         total += chunk.total
         max_chunk_total = max(max_chunk_total, chunk.total)
         max_pos_bound = max(max_pos_bound, chunk.pos_bound)
 
-    def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
+    def _concat(parts: List[np.ndarray]) -> np.ndarray:
         if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.ascontiguousarray(np.concatenate(parts), dtype=dtype)
+            return np.empty(0, dtype=np.int64)
+        return np.ascontiguousarray(np.concatenate(parts), dtype=np.int64)
 
     return DescriptorArena(
         chunks=list(chunks),
@@ -801,13 +748,10 @@ def pack_descriptor_arena(chunks: Sequence[DescriptorChunk]) -> DescriptorArena:
         batch_meta=np.asarray(batch_rows, dtype=np.int64).reshape(
             len(batch_rows), ARENA_BATCH_META
         ),
-        bases=_concat(bases_parts, np.int64),
-        counts=_concat(counts_parts, np.int64),
-        first_pos=_concat(first_pos_parts, np.int64),
+        bases=_concat(bases_parts),
+        counts=_concat(counts_parts),
+        first_pos=_concat(first_pos_parts),
         grids=np.asarray(grid_rows, dtype=np.int64).reshape(len(grid_rows), 3),
-        explicit_addresses=_concat(explicit_addr_parts, np.int64),
-        explicit_writes=_concat(explicit_write_parts, bool),
-        explicit_positions=_concat(explicit_pos_parts, np.int64),
         max_chunk_total=max_chunk_total,
         max_pos_bound=max_pos_bound,
         max_grid_levels=max_grid_levels,
@@ -1564,8 +1508,8 @@ class Program:
         accesses are emitted as ``(base, stride, count)`` run batches without
         materialising addresses; predicates are folded into per-window
         interval clipping, so even guarded and scalar-promoted accesses stay
-        in descriptor form (only truncation boundaries fall back to an
-        explicit span inside the stream).
+        in descriptor form, and a ``max_accesses`` cut clips the run batches
+        analytically (:meth:`DescriptorChunk.truncate`).
         """
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.pipeline.dataset import DatasetConfig, load_or_generate_dataset
 from repro.predictor.training import PredictorDataset, ScorePredictor
@@ -51,30 +51,3 @@ class TrainingPhase:
             arch=self.config.arch,
             kernel_type=self.config.kernel_type,
         )
-
-    @staticmethod
-    def for_all_architectures(
-        base_config: DatasetConfig,
-        archs=("x86", "arm", "riscv"),
-        predictor_name: str = "xgboost",
-        cache_dir: Optional[str | Path] = None,
-        verbose: bool = False,
-    ) -> Dict[str, TrainingPhaseResult]:
-        """Train one predictor per architecture (the paper's setup)."""
-        results: Dict[str, TrainingPhaseResult] = {}
-        for arch in archs:
-            config = DatasetConfig(
-                arch=arch,
-                implementations_per_group=base_config.implementations_per_group,
-                groups=base_config.groups,
-                scale=base_config.scale,
-                trace_max_accesses=base_config.trace_max_accesses,
-                n_exe=base_config.n_exe,
-                cooldown_s=base_config.cooldown_s,
-                seed=base_config.seed,
-                kernel_type=base_config.kernel_type,
-            )
-            results[arch] = TrainingPhase(
-                config, predictor_name=predictor_name, cache_dir=cache_dir
-            ).run(verbose=verbose)
-        return results

@@ -8,7 +8,8 @@ simulation.  Endpoints:
 * ``POST /simulate`` — body ``{"program": <base64 pickle>, "hierarchy":
   {...}?, "wait": true?}``.  Served from the result store when the digest is
   known; otherwise the miss is queued to the worker pool (``wait=true``
-  blocks for the outcome, ``wait=false`` returns ``202 queued``).
+  blocks for the outcome, ``wait=false`` returns ``202 queued``; journal
+  rows hold no hierarchy, so ``wait=false`` with another one gets ``400``).
   Concurrent requests for one digest coalesce onto a single computation
   through :meth:`~repro.sim.memo.SimulationCache.get_or_compute` — the
   leader simulates, twins wait, everyone gets the same bits.
@@ -155,8 +156,6 @@ class SimulationService:
         )
         self.worker = SimulationWorker(
             self.simulator,
-            timeout_s=self.config.timeout_s,
-            retry=self.config.retry,
             journal=store,
             lease_s=lease_s,
             breaker=self.breaker,
@@ -286,6 +285,13 @@ class SimulationService:
                 hierarchy = hierarchy_from_dict(payload["hierarchy"])
             except (KeyError, TypeError, ValueError) as error:
                 return 400, {"error": f"malformed hierarchy config: {error}"}
+        wait = payload.get("wait", True)
+        if not wait and hierarchy != self.simulator.hierarchy_config:
+            # Journal rows carry no hierarchy: the worker would simulate the
+            # service's own and the request's digest would never settle.
+            return 400, {
+                "error": "wait=false requests simulate the service's hierarchy only"
+            }
         digest = self._digest_for(program, hierarchy)
         cached = self.cache.get(digest)
         if cached is not None:
@@ -295,7 +301,7 @@ class SimulationService:
         shed = self._shed_miss()
         if shed is not None:
             return shed
-        if not payload.get("wait", True):
+        if not wait:
             # Write-ahead: the job is durable before the 202 leaves the
             # building, so a crash between here and the worker loses nothing.
             self.store.journal_enqueue(

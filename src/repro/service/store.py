@@ -3,9 +3,9 @@
 :class:`ResultStore` is the repo layer of the simulation service: one SQLite
 database (stdlib :mod:`sqlite3`, WAL mode) holding simulation statistics
 keyed on their ``sim_digest`` — the content-addressed memoization key of
-:mod:`repro.sim.memo`.  Flat-file memo directories written by older
-releases migrate in once through :meth:`ResultStore.import_disk_cache`.
-Rows are schema-versioned twice over: by the store's own table layout
+:mod:`repro.sim.memo`.  Each row carries a sha256 of its statistics, so
+a damaged row reads as a miss and is deleted.  Rows are schema-versioned
+twice over: by the store's own table layout
 (:data:`SERVICE_SCHEMA_VERSION`) and by the memo semantic version
 (:data:`~repro.sim.memo.CACHE_SCHEMA_VERSION`, which changes whenever
 simulation *results* change).  A mismatch on either drops and recreates the
@@ -64,31 +64,6 @@ class JournalJob:
     tenant: str
     #: Execution attempts including this claim (incremented at claim time).
     attempts: int
-
-
-def _canonical(flat: Dict[str, float]) -> str:
-    return json.dumps(flat, sort_keys=True, separators=(",", ":"))
-
-
-def _decode_memo_entry(text: str) -> Optional[Dict[str, float]]:
-    """Parse one flat-file memo envelope; ``None`` unless it is importable.
-
-    An envelope is ``{"schema": ..., "sha256": ..., "stats": {...}}``, the
-    checksum taken over the canonical JSON of the float-normalised stats.
-    Only envelopes of the current :data:`CACHE_SCHEMA_VERSION` whose
-    checksum matches are importable: an entry without the schema tag may
-    hold results of an older simulator under a key that still looks
-    current.
-    """
-    try:
-        payload = json.loads(text)
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        flat = {str(k): float(v) for k, v in payload["stats"].items()}
-    except (ValueError, TypeError, AttributeError, KeyError):
-        return None
-    checksum = hashlib.sha256(_canonical(flat).encode("utf-8")).hexdigest()
-    return flat if payload.get("sha256") == checksum else None
 
 
 class ResultStore:
@@ -257,7 +232,7 @@ class ResultStore:
 
     def _put_locked(self, digest: str, flat: Dict[str, float]) -> None:
         normalised = {str(k): float(v) for k, v in flat.items()}
-        stats_json = _canonical(normalised)
+        stats_json = json.dumps(normalised, sort_keys=True, separators=(",", ":"))
         checksum = hashlib.sha256(stats_json.encode("utf-8")).hexdigest()
         now = time.time()
         with self._lock:
@@ -489,30 +464,6 @@ class ResultStore:
             recovered=float(self.journal_recovered),
         )
         return counters
-
-    # -- migration ----------------------------------------------------------
-    def import_disk_cache(self, directory: Union[str, Path]) -> int:
-        """Import a flat-file memo directory (``<digest>.json`` envelopes).
-
-        The one-shot migration from the flat-file memo tier of older
-        releases: every checksum-valid envelope of the current memo schema
-        is inserted under its filename digest.  Corrupt, unversioned
-        (pre-envelope) or wrong-schema entries are skipped.  Returns the
-        number imported.
-        """
-        directory = Path(directory)
-        imported = 0
-        for path in sorted(directory.glob("*.json")):
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            flat = _decode_memo_entry(text)
-            if flat is None:
-                continue
-            self.put(path.stem, flat)
-            imported += 1
-        return imported
 
     # -- introspection ------------------------------------------------------
     def counters(self) -> Dict[str, float]:

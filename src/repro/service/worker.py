@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.codegen.program import Program
-from repro.reliability import CircuitBreaker, RetryPolicy, faults
+from repro.reliability import CircuitBreaker, faults
 from repro.sim.simulator import BatchSimulator, ResilientOutcome, SimulationFailure
 
 #: Jobs gathered into one wave: the in-memory queue and journal claims top
@@ -93,8 +93,6 @@ class SimulationWorker:
     def __init__(
         self,
         simulator: BatchSimulator,
-        timeout_s: float = 0.0,
-        retry: Optional[RetryPolicy] = None,
         max_wave: int = MAX_WAVE_JOBS,
         poll_s: float = 0.05,
         journal=None,
@@ -105,8 +103,6 @@ class SimulationWorker:
         heartbeat_s: float = 0.5,
     ):
         self.simulator = simulator
-        self.timeout_s = float(timeout_s)
-        self.retry = retry
         self.max_wave = int(max_wave)
         self.poll_s = float(poll_s)
         #: Durable journal (a :class:`~repro.service.store.ResultStore`, or
@@ -269,11 +265,7 @@ class SimulationWorker:
         # notice the dead thread, restart it and rescue this wave.
         faults.maybe_raise("worker_thread_crash")
         try:
-            outcomes = self.simulator.iter_batch(
-                [job.program for job in wave],
-                timeout_s=self.timeout_s if self.timeout_s > 0 else None,
-                retry=self.retry,
-            )
+            outcomes = self.simulator.iter_batch([job.program for job in wave])
             for job, outcome in zip(wave, outcomes):
                 self._settle(job, outcome)
             if self.breaker is not None:

@@ -23,10 +23,9 @@ Availability is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_SIM_NATIVE=0`` is set, every loader returns ``None`` and
 the engine keeps its pure-NumPy paths.  A failed compile is cached for the
 process — the compiler is invoked at most once per interpreter, never per
-call.  ``REPRO_SIM_NATIVE_CFLAGS`` appends extra compiler flags after
-``-O2`` (the flags join the library cache key, so flag changes rebuild).
-All implementations are bit-identical; the equivalence suites run against
-whichever is active.
+call.  The library is cached under a hash of the C source, so a source
+change rebuilds it once.  All implementations are bit-identical; the
+equivalence suites run against whichever is active.
 """
 
 from __future__ import annotations
@@ -556,9 +555,6 @@ static int64_t repro_emit_heads(
     const int64_t *counts,
     const int64_t *first_pos,
     const int64_t *grids,
-    const int64_t *ex_addr,
-    const uint8_t *ex_write,
-    const int64_t *ex_pos,
     int64_t offset_bits,
     int64_t *L, int64_t *RL, int64_t *O, int64_t *W)
 {
@@ -631,13 +627,6 @@ static int64_t repro_emit_heads(
             if (!repro_grid_advance(d, grids, g0, levels, &oaddr, &opos)) break;
         }
     }
-    for (int64_t e = cm[4]; e < cm[5]; e++) {
-        L[n] = ex_addr[e] >> offset_bits;
-        RL[n] = 1;
-        O[n] = ex_pos[e];
-        W[n] = ex_write[e] ? 1 : 0;
-        n++;
-    }
     return n;
 }
 
@@ -654,9 +643,6 @@ static int64_t repro_chunk_head_pipeline(
     const int64_t *counts,
     const int64_t *first_pos,
     const int64_t *grids,
-    const int64_t *ex_addr,
-    const uint8_t *ex_write,
-    const int64_t *ex_pos,
     int64_t offset_bits,
     int64_t set_mask,
     int64_t split_passes,
@@ -666,11 +652,10 @@ static int64_t repro_chunk_head_pipeline(
 {
     int64_t *L = ws->a_line, *RL = ws->a_len, *O = ws->a_orig, *W = ws->a_write;
     int64_t n = repro_emit_heads(
-        cm, batch_meta, bases, counts, first_pos, grids,
-        ex_addr, ex_write, ex_pos, offset_bits, L, RL, O, W);
+        cm, batch_meta, bases, counts, first_pos, grids, offset_bits, L, RL, O, W);
     if (n < 0) return n;
     const int64_t bound = cm[1] > 1 ? cm[1] : 1;
-    const int64_t ps = cm[6];
+    const int64_t ps = cm[4];
     int collapsed_any = 0;
     for (int64_t i = 0; i < n; i++) {
         if (RL[i] > 1) { collapsed_any = 1; break; }
@@ -867,7 +852,6 @@ static int64_t repro_estimate_heads(
             est += per_row * mult;
         }
     }
-    est += cm[5] - cm[4];
     return est;
 }
 
@@ -883,9 +867,6 @@ static int64_t repro_emit_members(
     const int64_t *counts,
     const int64_t *first_pos,
     const int64_t *grids,
-    const int64_t *ex_addr,
-    const uint8_t *ex_write,
-    const int64_t *ex_pos,
     int64_t offset_bits,
     int64_t *pos_table,
     int64_t *L, int64_t *O, int64_t *W)
@@ -927,18 +908,6 @@ static int64_t repro_emit_members(
             if (!repro_grid_advance(d, grids, g0, levels, &oaddr, &opos)) break;
         }
     }
-    for (int64_t e = cm[4]; e < cm[5]; e++) {
-        if (pos_table) {
-            pos_table[ex_pos[e]] =
-                ((ex_addr[e] >> offset_bits) << 1) | (ex_write[e] ? 1 : 0);
-            n++;
-        } else {
-            L[n] = ex_addr[e] >> offset_bits;
-            O[n] = ex_pos[e];
-            W[n] = ex_write[e] ? 1 : 0;
-            n++;
-        }
-    }
     return n;
 }
 
@@ -960,9 +929,6 @@ static int64_t repro_chunk_expand_pipeline(
     const int64_t *counts,
     const int64_t *first_pos,
     const int64_t *grids,
-    const int64_t *ex_addr,
-    const uint8_t *ex_write,
-    const int64_t *ex_pos,
     int64_t offset_bits,
     int64_t set_mask,
     repro_ws *ws,
@@ -976,9 +942,8 @@ static int64_t repro_chunk_expand_pipeline(
         total * 16 >= pos_bound && n_sets <= 65536 && pos_bound <= ws->pos_cap;
     if (dense) {
         const int64_t n = repro_emit_members(
-            cm, batch_meta, bases, counts, first_pos, grids,
-            ex_addr, ex_write, ex_pos, offset_bits, ws->slot_of,
-            (int64_t *)0, (int64_t *)0, (int64_t *)0);
+            cm, batch_meta, bases, counts, first_pos, grids, offset_bits,
+            ws->slot_of, (int64_t *)0, (int64_t *)0, (int64_t *)0);
         if (n < 0) return n;
         /* compact the table into trace order (restoring the -1 invariant) */
         int64_t *tagged = ws->a_line, *pos = ws->a_orig;
@@ -1031,8 +996,8 @@ static int64_t repro_chunk_expand_pipeline(
     }
     int64_t *L = ws->a_line, *O = ws->a_orig, *W = ws->a_write;
     const int64_t n = repro_emit_members(
-        cm, batch_meta, bases, counts, first_pos, grids,
-        ex_addr, ex_write, ex_pos, offset_bits, (int64_t *)0, L, O, W);
+        cm, batch_meta, bases, counts, first_pos, grids, offset_bits,
+        (int64_t *)0, L, O, W);
     if (n < 0) return n;
     const int64_t bound = pos_bound > 1 ? pos_bound : 1;
     for (int64_t i = 0; i < n; i++) {
@@ -1069,9 +1034,6 @@ int64_t repro_chunk_heads(
     const int64_t *counts,
     const int64_t *first_pos,
     const int64_t *grids,
-    const int64_t *ex_addr,
-    const uint8_t *ex_write,
-    const int64_t *ex_pos,
     int64_t offset_bits,
     int64_t set_mask,
     int64_t split_passes,
@@ -1089,13 +1051,13 @@ int64_t repro_chunk_heads(
      * heads -- the equivalence tests drive both entries. */
     if (split_passes < 0) {
         return repro_chunk_expand_pipeline(
-            chunk_meta + chunk_index * 7, batch_meta, bases, counts, first_pos,
-            grids, ex_addr, ex_write, ex_pos, offset_bits, set_mask,
+            chunk_meta + chunk_index * 5, batch_meta, bases, counts, first_pos,
+            grids, offset_bits, set_mask,
             &ws, out_set, out_line, out_fw, out_wc, out_orig, out_last);
     }
     return repro_chunk_head_pipeline(
-        chunk_meta + chunk_index * 7, batch_meta, bases, counts, first_pos,
-        grids, ex_addr, ex_write, ex_pos, offset_bits, set_mask, split_passes,
+        chunk_meta + chunk_index * 5, batch_meta, bases, counts, first_pos,
+        grids, offset_bits, set_mask, split_passes,
         &ws, out_set, out_line, out_fw, out_wc, out_orig, out_last);
 }
 
@@ -1147,9 +1109,6 @@ int64_t repro_descriptor_batch(
     const int64_t *counts,
     const int64_t *first_pos,
     const int64_t *grids,
-    const int64_t *ex_addr,
-    const uint8_t *ex_write,
-    const int64_t *ex_pos,
     int64_t offset_bits,
     int64_t n_sets,
     int64_t assoc,
@@ -1186,7 +1145,7 @@ int64_t repro_descriptor_batch(
     int64_t read_misses = 0, write_misses = 0;
     int64_t read_repl = 0, write_repl = 0, writebacks = 0, seq = 0;
     for (int64_t c = 0; c < n_chunks; c++) {
-        const int64_t *cm = chunk_meta + c * 7;
+        const int64_t *cm = chunk_meta + c * 5;
         const int64_t total = cm[0];
         /* Per-chunk mode: closed-form head collapse when the estimate says
          * runs really collapse, member expansion otherwise (same fraction
@@ -1198,18 +1157,18 @@ int64_t repro_descriptor_batch(
         if (estimate * 1000 <= head_fraction_millis * total) {
             n_heads = repro_chunk_head_pipeline(
                 cm, batch_meta, bases, counts, first_pos, grids,
-                ex_addr, ex_write, ex_pos, offset_bits, set_mask, split_passes,
+                offset_bits, set_mask, split_passes,
                 &ws, ws.f_set, ws.f_line, ws.f_fw, ws.f_wc, ws.f_orig, ws.f_last);
         } else {
             n_heads = repro_chunk_expand_pipeline(
                 cm, batch_meta, bases, counts, first_pos, grids,
-                ex_addr, ex_write, ex_pos, offset_bits, set_mask,
+                offset_bits, set_mask,
                 &ws, ws.f_set, ws.f_line, ws.f_fw, ws.f_wc, ws.f_orig, ws.f_last);
         }
         if (n_heads < 0) return n_heads;
 
         /* build the event list: exact-stack policies (LRU) fold guaranteed
-         * re-touches into chains (see VectorCacheState._process_heads);
+         * re-touches into chains (see VectorCacheState.process_heads);
          * FIFO/random/PLRU/RRIP make every head an event */
         int64_t n_events = 0;
         if (exact_stack) {
@@ -1285,7 +1244,7 @@ int64_t repro_descriptor_batch(
             tags, dirty, recency, aux, occupancy, evictions);
         tick += cm[1];
 
-        /* statistics (mirrors VectorCacheState._process_heads step 5) */
+        /* statistics (mirrors VectorCacheState.process_heads step 5) */
         int64_t head_write = 0, sum_wc = 0;
         for (int64_t h = 0; h < n_heads; h++) {
             head_write += ws.f_fw[h] ? 1 : 0;
@@ -1360,14 +1319,8 @@ int64_t repro_descriptor_batch(
 """
 
 
-def _extra_cflags() -> list:
-    """Extra compiler flags from ``REPRO_SIM_NATIVE_CFLAGS`` (whitespace-split)."""
-    return os.environ.get("REPRO_SIM_NATIVE_CFLAGS", "").split()
-
-
 def _library_path() -> str:
-    payload = _SOURCE + "\0" + " ".join(_extra_cflags())
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()[:16]
     tag = f"repro-sim-{digest}-py{sys.version_info[0]}{sys.version_info[1]}"
     xdg = os.environ.get("XDG_CACHE_HOME")
     if xdg:
@@ -1404,8 +1357,7 @@ def _compile() -> Optional[str]:
             handle.write(_SOURCE)
             source_path = handle.name
         scratch = source_path + ".so"
-        command = [compiler, "-O2", *_extra_cflags(), "-fPIC", "-shared"]
-        command += ["-o", scratch, source_path]
+        command = [compiler, "-O2", "-fPIC", "-shared", "-o", scratch, source_path]
         result = subprocess.run(command, capture_output=True, timeout=60)
         if result.returncode != 0:
             return None
@@ -1447,7 +1399,6 @@ def _bind(library: ctypes.CDLL) -> Dict[str, object]:
     chunk_heads.argtypes = [
         p64, ctypes.c_int64,  # chunk_meta, chunk index
         p64, p64, p64, p64, p64,  # batch_meta, bases, counts, first_pos, grids
-        p64, pbool, p64,  # explicit addresses / writes / positions
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # offset bits, set mask, split passes
         ctypes.c_int64, ctypes.c_int64,  # cap, position-table capacity
         p64, ctypes.c_int64,  # scratch, scratch length
@@ -1459,7 +1410,6 @@ def _bind(library: ctypes.CDLL) -> Dict[str, object]:
     descriptor_batch.argtypes = [
         ctypes.c_int64,  # n_chunks
         p64, p64, p64, p64, p64, p64,  # chunk_meta, batch_meta, bases, counts, first_pos, grids
-        p64, pbool, p64,  # explicit addresses / writes / positions
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # offset bits, n_sets, associativity
         ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,  # policy, rng seed, split passes
         ctypes.c_int64,  # head-fraction gate (thousandths)

@@ -290,7 +290,7 @@ class Cache:
             )
             addresses, is_write = chunk.expand()
             return self.access_batch(addresses, is_write)
-        outcome = self._state.process_descriptor_heads(
+        outcome = self._state.process_heads(
             chunk.total, chunk.pos_bound, *heads, self._last_miss_line
         )
         self._apply_outcome(outcome)

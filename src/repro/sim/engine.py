@@ -284,9 +284,6 @@ def native_chunk_heads(
         arena.counts,
         arena.first_pos,
         arena.grids,
-        arena.explicit_addresses,
-        arena.explicit_writes,
-        arena.explicit_positions,
         offset_bits,
         set_mask,
         split_passes,
@@ -326,8 +323,6 @@ def estimated_heads(chunk: DescriptorChunk, offset_bits: int) -> int:
             last = (batch.bases + (counts - 1) * batch.stride) >> offset_bits
             per_row = int(np.abs(last - first).sum()) + int(counts.size)
             total += per_row * multiplicity
-    if chunk.addresses is not None:
-        total += int(chunk.addresses.size)
     return total
 
 
@@ -390,7 +385,7 @@ def chunk_heads(chunk: DescriptorChunk, offset_bits: int, set_mask: int):
     """Build the collapsed, set-sorted head arrays of one descriptor chunk.
 
     Heads come out sorted by ``(set, position)`` — the order
-    :meth:`VectorCacheState.process_descriptor_heads` expects.  Grid batches
+    :meth:`VectorCacheState.process_heads` expects.  Grid batches
     are collapsed per innermost row: the replication levels are expanded
     transiently (one 1-D run per innermost row) and each row collapses to
     line heads in closed form; adjacent rows landing on the same line merge
@@ -403,11 +398,8 @@ def chunk_heads(chunk: DescriptorChunk, offset_bits: int, set_mask: int):
     remainders still irreducible after :data:`SEGMENT_SPLIT_PASSES` passes
     are exploded into singleton members.
     """
-    explicit = chunk.addresses is not None and chunk.addresses.size
     parts = [_batch_heads(batch.degrid(), offset_bits) for batch in chunk.batches]
-    n_parts = sum(part[0].size for part in parts) + (
-        int(chunk.addresses.size) if explicit else 0
-    )
+    n_parts = sum(part[0].size for part in parts)
     lines = np.empty(n_parts, dtype=np.int64)
     run_len = np.empty(n_parts, dtype=np.int64)
     head_orig = np.empty(n_parts, dtype=np.int64)
@@ -421,12 +413,6 @@ def chunk_heads(chunk: DescriptorChunk, offset_bits: int, set_mask: int):
         head_orig[at:stop] = part_orig
         first_write[at:stop] = batch.is_write
         at = stop
-    if explicit:
-        stop = at + chunk.addresses.size
-        lines[at:stop] = chunk.addresses >> offset_bits
-        run_len[at:stop] = 1
-        head_orig[at:stop] = chunk.positions
-        first_write[at:stop] = chunk.writes
 
     bound = max(int(chunk.pos_bound), 1)
     collapsed_any = bool((run_len > 1).any())
@@ -733,9 +719,6 @@ class VectorCacheState:
             arena.counts,
             arena.first_pos,
             arena.grids,
-            arena.explicit_addresses,
-            arena.explicit_writes,
-            arena.explicit_positions,
             offset_bits,
             self.sets,
             self.associativity,
@@ -927,36 +910,12 @@ class VectorCacheState:
         run_len[-1] = n - head_pos[-1]
         head_orig = perm[head_pos]
         last_orig = perm[head_pos + run_len - 1]
-        return self._process_heads(
+        return self.process_heads(
             n, n, head_sets, head_lines, first_write, run_writes, head_orig, last_orig,
             last_miss_line,
         )
 
-    def process_descriptor_heads(
-        self,
-        n_total: int,
-        tick_span: int,
-        head_sets: np.ndarray,
-        head_lines: np.ndarray,
-        first_write: np.ndarray,
-        write_counts: np.ndarray,
-        head_orig: np.ndarray,
-        last_orig: np.ndarray,
-        last_miss_line: int,
-    ) -> ChunkOutcome:
-        """Process one chunk given pre-built descriptor heads.
-
-        The head arrays come from :func:`chunk_heads` (sorted by set with
-        trace order inside each set); ``n_total`` is the number of accesses
-        the heads describe and ``tick_span`` the exclusive position bound of
-        the chunk (positions are uncompacted for descriptor chunks).
-        """
-        return self._process_heads(
-            n_total, tick_span, head_sets, head_lines, first_write, write_counts,
-            head_orig, last_orig, last_miss_line,
-        )
-
-    def _process_heads(
+    def process_heads(
         self,
         n: int,
         tick_span: int,
@@ -971,9 +930,13 @@ class VectorCacheState:
         """Steps 3–5 of the chunk algorithm on collapsed head arrays.
 
         Heads must be sorted by set with trace order preserved inside each
-        set; every head stands for ``write_counts``-aggregated consecutive
+        set, as :meth:`process_chunk` and :func:`chunk_heads` build them;
+        every head stands for ``write_counts``-aggregated consecutive
         accesses to one line whose first access carries ``first_write`` and
-        sits at chunk position ``head_orig`` (last at ``last_orig``).
+        sits at chunk position ``head_orig`` (last at ``last_orig``).  ``n``
+        counts the accesses the heads describe and ``tick_span`` is the
+        chunk's exclusive position bound (descriptor chunk positions are
+        uncompacted, so it can exceed ``n``).
         """
         assoc = self.associativity
         n_heads = int(head_sets.size)

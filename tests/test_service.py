@@ -1,7 +1,7 @@
 """Service-layer tests: result store, runtime config, facade, HTTP service.
 
 Covers the simulation-as-a-service stack end to end against real simulation
-paths: :class:`~repro.service.ResultStore` CRUD/eviction/migration, the
+paths: :class:`~repro.service.ResultStore` CRUD/eviction/checksums, the
 :class:`~repro.sim.RuntimeConfig` contract (``from_env()`` is the one reader
 of the simulation variables and ``RuntimeConfig()`` never reads them),
 ``Simulator``'s config API, the ``repro.simulate`` facade, and the HTTP
@@ -48,9 +48,11 @@ from repro.service import (
     Tenant,
     hierarchy_from_dict,
 )
+from repro.service.worker import SimulationWorker
 from repro.sim import (
     CACHE_HIERARCHIES,
     AtomicSimpleCPU,
+    BatchSimulator,
     RuntimeConfig,
     SimulationCache,
     SimulationFailure,
@@ -132,48 +134,22 @@ def big_programs(big_task):
     return [build.program for build in builds]
 
 
-def _memo_envelope(stats, schema=CACHE_SCHEMA_VERSION):
-    """One flat-file memo entry as older releases wrote it: a schema tag, the
-    sha256 of the canonical stats JSON and the float-normalised stats."""
-    normalised = {str(k): float(v) for k, v in stats.items()}
-    canonical = json.dumps(normalised, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return json.dumps({"schema": schema, "sha256": checksum, "stats": normalised})
+#: Statistics of the rows the checksum tests damage.
+ROW_STATS = {"cpu.num_insts": 5.0, "l2.miss_rate": 0.5}
 
-
-#: Statistics of the flat-file memo entries the migration tests write.
-MEMO_PAYLOAD = {"cpu.num_insts": 5.0, "l2.miss_rate": 0.5}
-
-
-def _with_fields(envelope_text, **fields):
-    """``envelope_text`` with top-level fields replaced; ``...`` drops one."""
-    envelope = json.loads(envelope_text)
-    for name, value in fields.items():
-        if value is Ellipsis:
-            del envelope[name]
-        else:
-            envelope[name] = value
-    return json.dumps(envelope)
-
-
-#: Ways a flat-file memo entry can be damaged, as edits of a valid envelope:
-#: torn writes, bit-rot behind the checksum, other schema versions, wrong
-#: shapes.  None of them may be imported.
-DAMAGED_ENTRIES = {
-    "truncated": lambda good: good[: len(good) // 2],
-    "garbage": lambda good: "garbage{",
-    "empty": lambda good: "",
-    "json-array": lambda good: json.dumps([json.loads(good)]),
-    "older-schema": lambda good: _memo_envelope(MEMO_PAYLOAD, CACHE_SCHEMA_VERSION - 1),
-    "newer-schema": lambda good: _memo_envelope(MEMO_PAYLOAD, CACHE_SCHEMA_VERSION + 1),
-    "checksum-mismatch": lambda good: _with_fields(
-        good, stats={**MEMO_PAYLOAD, "cpu.num_insts": 6.0}
-    ),
-    "no-checksum": lambda good: _with_fields(good, sha256=...),
-    "no-stats": lambda good: _with_fields(good, stats=...),
-    "stats-not-object": lambda good: _with_fields(good, stats=list(MEMO_PAYLOAD.values())),
-    "non-numeric-stat": lambda good: _with_fields(good, stats={"cpu.num_insts": "fast"}),
-    "null-stat": lambda good: _with_fields(good, stats={"cpu.num_insts": None}),
+#: Ways a stored result row can be damaged, as ``(column, edit)`` pairs that
+#: rewrite one column of a good row: torn or rotted statistics behind the
+#: checksum, a lost or foreign checksum, a row of another memo schema.
+DAMAGED_ROWS = {
+    "truncated-stats": ("stats", lambda row: row["stats"][: len(row["stats"]) // 2]),
+    "garbage-stats": ("stats", lambda row: "garbage{"),
+    "empty-stats": ("stats", lambda row: ""),
+    "renamed-stat": ("stats", lambda row: row["stats"].replace("miss_rate", "miss_ratio")),
+    "extra-stat": ("stats", lambda row: row["stats"][:-1] + ',"l3.misses":1.0}'),
+    "blank-checksum": ("sha256", lambda row: ""),
+    "foreign-checksum": ("sha256", lambda row: hashlib.sha256(b"{}").hexdigest()),
+    "older-schema": ("schema", lambda row: CACHE_SCHEMA_VERSION - 1),
+    "newer-schema": ("schema", lambda row: CACHE_SCHEMA_VERSION + 1),
 }
 
 
@@ -267,81 +243,29 @@ class TestResultStore:
         assert "digest-a" not in store
         store.close()
 
-    def test_import_disk_cache_envelopes(self, tmp_path):
-        legacy_dir = tmp_path / "memo"
-        legacy_dir.mkdir()
-        payload = {"cpu.num_insts": 5.0, "l2.miss_rate": 0.5}
-        (legacy_dir / "aaa.json").write_text(_memo_envelope(payload), encoding="utf-8")
-        (legacy_dir / "bad.json").write_text("garbage{", encoding="utf-8")
-        (legacy_dir / "stale.json").write_text(
-            _memo_envelope(payload, schema=CACHE_SCHEMA_VERSION - 1), encoding="utf-8"
+    @pytest.mark.parametrize("damage", list(DAMAGED_ROWS))
+    def test_damaged_row_is_a_miss_and_heals(self, damage):
+        """A damaged row reads as a miss and is deleted, so the recomputed
+        result's ``put`` stores fresh statistics instead of refreshing the
+        damaged row; the other rows are untouched."""
+        store = ResultStore(":memory:")
+        store.put("damaged", ROW_STATS)
+        store.put("good", {"cpu.num_insts": 7.0})
+        stats, sha256, schema = store._conn.execute(
+            "SELECT stats, sha256, schema FROM results WHERE digest = 'damaged'"
+        ).fetchone()
+        column, edit = DAMAGED_ROWS[damage]
+        value = edit({"stats": stats, "sha256": sha256, "schema": schema})
+        store._conn.execute(
+            f"UPDATE results SET {column} = ? WHERE digest = 'damaged'", (value,)
         )
-        rotted = json.loads(_memo_envelope(payload))
-        rotted["stats"]["cpu.num_insts"] += 1.0  # bit-rot behind the checksum
-        (legacy_dir / "rotted.json").write_text(json.dumps(rotted), encoding="utf-8")
-        store = ResultStore(":memory:")
-        assert store.import_disk_cache(legacy_dir) == 1
-        assert store.get("aaa") == payload
-        assert len(store) == 1
-        store.close()
-
-    def test_import_skips_unversioned_entries(self, tmp_path):
-        """A pre-envelope flat entry carries no schema tag: its statistics
-        may come from an older simulator, so it must not be imported under
-        a digest that looks current."""
-        legacy_dir = tmp_path / "memo"
-        legacy_dir.mkdir()
-        (legacy_dir / "legacy.json").write_text(
-            json.dumps({"cpu.num_insts": 1.0}), encoding="utf-8"
-        )
-        store = ResultStore(":memory:")
-        assert store.import_disk_cache(legacy_dir) == 0
-        assert "legacy" not in store
-        store.close()
-
-    @pytest.mark.parametrize("damage", list(DAMAGED_ENTRIES))
-    def test_import_skips_damaged_entry(self, tmp_path, damage):
-        """A damaged entry is skipped without stopping the migration, and the
-        migration only reads: the damaged bytes stay for a post-mortem."""
-        legacy_dir = tmp_path / "memo"
-        legacy_dir.mkdir()
-        good = _memo_envelope(MEMO_PAYLOAD)
-        damaged = DAMAGED_ENTRIES[damage](good)
-        (legacy_dir / "damaged.json").write_text(damaged, encoding="utf-8")
-        (legacy_dir / "good.json").write_text(good, encoding="utf-8")
-        store = ResultStore(":memory:")
-        assert store.import_disk_cache(legacy_dir) == 1
-        assert store.get("good") == MEMO_PAYLOAD
-        assert "damaged" not in store
-        assert (legacy_dir / "damaged.json").read_text(encoding="utf-8") == damaged
-        store.close()
-
-    def test_import_reads_only_entry_files(self, tmp_path):
-        """Older releases left write scratch (``.<digest>.<pid>.tmp``) and
-        quarantined entries (``<digest>.json.quarantine``) beside their
-        entries; neither is an entry, whatever it holds."""
-        legacy_dir = tmp_path / "memo"
-        legacy_dir.mkdir()
-        good = _memo_envelope(MEMO_PAYLOAD)
-        (legacy_dir / ".scratch.123.tmp").write_text(good, encoding="utf-8")
-        (legacy_dir / "quarantined.json.quarantine").write_text(good, encoding="utf-8")
-        store = ResultStore(":memory:")
-        assert store.import_disk_cache(legacy_dir) == 0
-        assert len(store) == 0
-        store.close()
-
-    def test_import_real_memo_dir_roundtrip(self, tmp_path, programs):
-        """Migration path: a flat-file memo entry of a real simulation."""
-        legacy_dir = tmp_path / "memo"
-        legacy_dir.mkdir()
-        simulator = Simulator("arm", trace_options=TRACE, config=RuntimeConfig(memoize=False))
-        result = simulator.run(programs[0])
-        (legacy_dir / f"{result.sim_digest}.json").write_text(
-            _memo_envelope(result.flat_stats()), encoding="utf-8"
-        )
-        store = ResultStore(":memory:")
-        assert store.import_disk_cache(legacy_dir) == 1
-        assert store.get(result.sim_digest) == dict(result.stats.as_dict())
+        store._conn.commit()
+        assert store.get("damaged") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert "damaged" not in store and len(store) == 1
+        assert store.get("good") == {"cpu.num_insts": 7.0}
+        store.put("damaged", ROW_STATS)
+        assert store.get("damaged") == ROW_STATS
         store.close()
 
     def test_cache_store_backend_roundtrip(self, programs):
@@ -533,6 +457,12 @@ REMOVED_SETTINGS = {
     "SimulatorRunner-engine": lambda: SimulatorRunner("arm", engine="reference"),
     "RunnerStatsCollector-timeout_s": lambda: RunnerStatsCollector(
         TargetBoard("arm"), timeout_s=1.0
+    ),
+    "SimulationWorker-timeout_s": lambda: SimulationWorker(
+        BatchSimulator("arm"), timeout_s=1.0
+    ),
+    "SimulationWorker-retry": lambda: SimulationWorker(
+        BatchSimulator("arm"), retry=RetryPolicy()
     ),
 }
 
@@ -931,6 +861,39 @@ class TestServeCli:
         assert main(["serve", "--check", "--trace", "-5"]) == 2
         assert "invalid runtime configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            (["--trace", "0"], TraceOptions(max_accesses=0)),
+            ([], None),
+            (["--trace", "5000"], TraceOptions(max_accesses=5000)),
+        ],
+    )
+    def test_serve_hands_its_trace_budget_to_the_service(
+        self, monkeypatch, tmp_path, flags, expected
+    ):
+        """``serve --trace 0`` simulates an empty trace, as ``simulate`` does;
+        only an absent flag leaves the service's unbounded default."""
+        import signal
+
+        import repro.service
+        from repro.cli import main
+
+        captured = {}
+
+        class RecordingService:
+            def __init__(self, arch, store, **kwargs):
+                captured.update(kwargs)
+
+            def close(self, drain=False):
+                pass
+
+        monkeypatch.setattr(repro.service, "SimulationService", RecordingService)
+        monkeypatch.setattr(ServiceServer, "serve_forever", lambda self: None)
+        monkeypatch.setattr(signal, "signal", lambda signo, handler: None)
+        assert main(["serve", "--db", str(tmp_path / "svc.db"), *flags]) == 0
+        assert captured["trace_options"] == expected
+
     def test_serve_check_reports_the_service_knobs(self, monkeypatch, capsys):
         from repro.cli import main
 
@@ -955,6 +918,14 @@ class TestServeCli:
 # ---------------------------------------------------------------------------
 # Durable job journal
 # ---------------------------------------------------------------------------
+
+
+#: Hierarchies other than an arm service's own, as edits of its hierarchy.
+HIERARCHY_OVERRIDES = {
+    "renamed": lambda base: dataclasses.replace(base, name=base.name + "-custom"),
+    "random-replacement": lambda base: hierarchy_with_replacement("arm", "random"),
+    "x86": lambda base: CACHE_HIERARCHIES["x86"],
+}
 
 
 class TestJobJournal:
@@ -1073,6 +1044,43 @@ class TestJobJournal:
             assert client.stats()["journal"]["drained"] == 1.0
         finally:
             server.stop()
+            store.close()
+
+    @pytest.mark.parametrize("override", list(HIERARCHY_OVERRIDES))
+    def test_wait_false_rejects_a_hierarchy_override(self, programs, override):
+        """Journal rows carry no hierarchy, so a queued override could never
+        settle under its own digest: it is refused before it is journaled."""
+        store = ResultStore(":memory:")
+        service = SimulationService("arm", store)
+        try:
+            custom = HIERARCHY_OVERRIDES[override](service.simulator.hierarchy_config)
+            payload = _simulate_payload(programs[1], wait=False)
+            status, body = service.handle_simulate(
+                {**payload, "hierarchy": dataclasses.asdict(custom)}
+            )
+            assert status == 400 and "hierarchy" in body["error"]
+            assert store.journal_enqueued == 0
+            assert store.journal_pending() == 0
+        finally:
+            service.close()
+            store.close()
+
+    def test_wait_false_accepts_the_services_own_hierarchy(self, programs):
+        """Naming the service's own hierarchy is no override."""
+        store = ResultStore(":memory:")
+        service = SimulationService("arm", store)
+        try:
+            base = service.simulator.hierarchy_config
+            payload = _simulate_payload(programs[1], wait=False)
+            status, body = service.handle_simulate(
+                {**payload, "hierarchy": dataclasses.asdict(base)}
+            )
+            assert status == 202 and store.journal_enqueued == 1
+            assert body["digest"] == SimulationCache.make_key(
+                programs[1], base, service.simulator.trace_options, service.simulator.engine
+            )
+        finally:
+            service.close()
             store.close()
 
 

@@ -20,12 +20,15 @@ conflict explosion and chain pre-resolution paths all get exercised.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.program import (
+    ARENA_CHUNK_META,
     AccessRunBatch,
     Block,
     Buffer,
@@ -35,6 +38,7 @@ from repro.codegen.program import (
     Loop,
     MemoryAccess,
     Program,
+    pack_descriptor_arena,
 )
 from repro.codegen.target import Target
 from repro.sim import (
@@ -389,10 +393,14 @@ def overlapping_grid_chunk() -> DescriptorChunk:
     return DescriptorChunk(total=12, pos_bound=32, batches=[batch])
 
 
-def mixed_span_chunk() -> DescriptorChunk:
-    """Two runs interleaved with a hand-built explicit span on odd slots."""
-    rng = np.random.default_rng(9)
-    batch = AccessRunBatch(
+def interleaved_runs_chunk() -> DescriptorChunk:
+    """Reads on even slots and writes on odd ones, over shared lines.
+
+    The first write run lands inside the first read run's lines, so heads
+    from the two batches merge on the same sets; the second write run starts
+    past the reads' last position.
+    """
+    reads = AccessRunBatch(
         bases=np.array([0x1000, 0x8000], dtype=np.int64),
         stride=4,
         pos_stride=2,
@@ -400,15 +408,15 @@ def mixed_span_chunk() -> DescriptorChunk:
         counts=np.array([40, 40], dtype=np.int64),
         first_pos=np.array([0, 80], dtype=np.int64),
     )
-    span_positions = np.arange(1, 41, 2, dtype=np.int64)  # a few odd slots
-    return DescriptorChunk(
-        total=80 + span_positions.size,
-        pos_bound=161,
-        batches=[batch],
-        addresses=rng.integers(0, 1 << 14, size=span_positions.size).astype(np.int64),
-        writes=rng.random(span_positions.size) < 0.5,
-        positions=span_positions,
+    writes = AccessRunBatch(
+        bases=np.array([0x1010, 0x3000], dtype=np.int64),
+        stride=8,
+        pos_stride=2,
+        is_write=True,
+        counts=np.array([20, 30], dtype=np.int64),
+        first_pos=np.array([1, 101], dtype=np.int64),
     )
+    return DescriptorChunk(total=130, pos_bound=161, batches=[reads, writes])
 
 
 class TestGridRunBatches:
@@ -723,7 +731,6 @@ class TestProgramDescriptorApi:
         chunk = DescriptorChunk(total=10, pos_bound=10, batches=[batch])
         empty = chunk.truncate(0)
         assert (empty.total, empty.pos_bound, empty.batches) == (0, 0, [])
-        assert empty.addresses is None and empty.writes is None and empty.positions is None
         addresses, writes = empty.expand()
         assert addresses.size == 0 and writes.size == 0
         hierarchy = CacheHierarchy(TINY_HIERARCHY, engine=ENGINE_VECTORIZED)
@@ -732,19 +739,28 @@ class TestProgramDescriptorApi:
         with pytest.raises(ValueError, match="negative"):
             chunk.truncate(-3)
 
-    def test_mixed_chunk_with_explicit_span(self):
-        # The explicit span is the escape hatch for non-affine producers; the
-        # built-in emitter never creates one, so exercise the consumer
-        # branches (expand, truncate, engine heads) with a hand-built chunk.
-        chunk = mixed_span_chunk()
-        (batch,) = chunk.batches
+    def test_chunk_is_run_batches_only(self):
+        assert [f.name for f in dataclasses.fields(DescriptorChunk)] == [
+            "total",
+            "pos_bound",
+            "batches",
+        ]
+
+    def test_interleaved_run_batches(self):
+        # The emitter's batches interleave through the trace; exercise the
+        # consumers (expand, truncate, engine heads) on a hand-built chunk.
+        chunk = interleaved_runs_chunk()
         # Independent reconstruction: members ordered by trace position.
-        run_addresses, run_positions = batch.member_addresses()
-        all_addresses = np.concatenate([run_addresses, chunk.addresses])
-        all_positions = np.concatenate([run_positions, chunk.positions])
+        members = [batch.member_addresses() for batch in chunk.batches]
+        all_addresses = np.concatenate([addresses for addresses, _ in members])
+        all_positions = np.concatenate([positions for _, positions in members])
+        all_writes = np.concatenate(
+            [np.full(a.size, b.is_write) for (a, _), b in zip(members, chunk.batches)]
+        )
         order = np.argsort(all_positions)
         addresses, writes = chunk.expand()
         assert np.array_equal(addresses.astype(np.int64), all_addresses[order])
+        assert np.array_equal(writes, all_writes[order])
 
         truncated = chunk.truncate(57)
         t_addresses, t_writes = truncated.expand()
@@ -752,10 +768,10 @@ class TestProgramDescriptorApi:
         assert np.array_equal(t_addresses, addresses[:57])
         assert np.array_equal(t_writes, writes[:57])
 
-        # Replaying the mixed chunk against the expanded stream must give
-        # identical statistics, and the chunk is large and compressible
-        # enough to engage the closed-form head path (not the expand
-        # fallback) on the vectorized engine.
+        # Replaying the chunk against the expanded stream must give identical
+        # statistics, and the chunk is large and compressible enough to engage
+        # the closed-form head path (not the expand fallback) on the
+        # vectorized engine.
         from repro.sim.engine import DESCRIPTOR_HEAD_FRACTION, estimated_heads
 
         assert chunk.total >= 48
@@ -765,6 +781,45 @@ class TestProgramDescriptorApi:
         descriptor = CacheHierarchy(TINY_HIERARCHY, engine=ENGINE_VECTORIZED)
         descriptor.access_data_descriptors(chunk)
         assert reference.stats_dict() == descriptor.stats_dict()
+
+    def test_arena_rows_describe_each_chunk(self):
+        """The arena columns the native kernels index reproduce every chunk."""
+        rng = np.random.default_rng(23)
+        chunks = [DescriptorChunk(total=0, pos_bound=0), interleaved_runs_chunk()]
+        chunks.append(overlapping_grid_chunk())
+        chunks.extend(random_program(rng).memory_trace_descriptors(chunk_iterations=61))
+        arena = pack_descriptor_arena(chunks)
+        assert arena.chunk_meta.shape == (len(chunks), ARENA_CHUNK_META) == (len(chunks), 5)
+        assert arena.total == sum(chunk.total for chunk in chunks)
+        assert arena.max_chunk_total == max(chunk.total for chunk in chunks)
+        assert arena.max_pos_bound == max(chunk.pos_bound for chunk in chunks)
+        for chunk, meta in zip(chunks, arena.chunk_meta.tolist()):
+            total, pos_bound, batch_start, batch_end, pos_stride = meta
+            assert (total, pos_bound) == (chunk.total, chunk.pos_bound)
+            assert batch_end - batch_start == len(chunk.batches)
+            assert pos_stride == (chunk.batches[0].pos_stride if chunk.batches else 1)
+            rows = arena.batch_meta[batch_start:batch_end].tolist()
+            for batch, row in zip(chunk.batches, rows):
+                is_write, stride, batch_pos_stride, run_start, run_end, g_start, g_end = row
+                assert (is_write, stride, batch_pos_stride) == (
+                    int(batch.is_write), batch.stride, batch.pos_stride
+                )
+                assert np.array_equal(arena.bases[run_start:run_end], batch.bases)
+                assert np.array_equal(arena.counts[run_start:run_end], batch.run_counts())
+                assert np.array_equal(
+                    arena.first_pos[run_start:run_end], batch.run_first_pos()
+                )
+                grid = arena.grids[g_start:g_end]
+                if batch.grid_counts is None:
+                    assert grid.shape == (0, 3)
+                else:
+                    assert np.array_equal(
+                        grid,
+                        np.stack(
+                            [batch.grid_strides, batch.grid_counts, batch.grid_pos_strides],
+                            axis=1,
+                        ),
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -867,25 +922,9 @@ class TestNativeHeadPipeline:
                         np.asarray(have, dtype=np.int64),
                     )
 
-    def test_mixed_chunk_with_explicit_span_native(self):
-        """Explicit members join the native pipeline as singleton heads."""
-        rng = np.random.default_rng(9)
-        batch = AccessRunBatch(
-            bases=np.array([0, 4096], dtype=np.int64),
-            stride=8,
-            pos_stride=2,
-            is_write=False,
-            counts=np.array([40, 40], dtype=np.int64),
-            first_pos=np.array([0, 80], dtype=np.int64),
-        )
-        span_positions = np.arange(1, 41, 2, dtype=np.int64)
-        chunk = DescriptorChunk(
-            total=80 + span_positions.size,
-            pos_bound=161,
-            batches=[batch],
-            addresses=rng.integers(0, 1 << 14, size=span_positions.size).astype(np.int64),
-            writes=rng.random(span_positions.size) < 0.5,
-            positions=span_positions,
-        )
+    @pytest.mark.parametrize("offset_bits,set_mask", HEAD_GEOMETRIES)
+    def test_interleaved_run_batches_native(self, offset_bits, set_mask):
+        """Heads of a read and a write batch merge as in the NumPy oracle."""
+        chunk = interleaved_runs_chunk()
         for split_passes in (0, 1, 2):
-            assert_native_heads_equal(chunk, 6, 7, split_passes)
+            assert_native_heads_equal(chunk, offset_bits, set_mask, split_passes)

@@ -6,7 +6,7 @@ recursive ``_count_below``.  Only the search for the cutoff changed, so both
 clip with the same ``_clip_batch``.  The cutoff is the unique smallest
 position with ``keep`` members below it, so the truncated chunks must be
 equal field for field: every batch array and its dtype, the scalars, the
-grid levels, ``pos_bound`` and the explicit span.
+grid levels and ``pos_bound``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from tests.test_trace_descriptors import (
     _padded_store,
     _tiled_program,
     assert_trace_equal,
-    mixed_span_chunk,
+    interleaved_runs_chunk,
     overlapping_grid_chunk,
     tiled_programs,
 )
@@ -74,8 +74,6 @@ def reference_cutoff(chunk: DescriptorChunk, keep: int) -> int:
     while low + 1 < high:
         mid = (low + high) // 2
         counted = sum(_count_below(batch, mid) for batch in chunk.batches)
-        if chunk.positions is not None and chunk.positions.size:
-            counted += int(np.count_nonzero(chunk.positions < mid))
         if counted >= keep:
             high = mid
         else:
@@ -90,20 +88,7 @@ def reference_truncate(chunk: DescriptorChunk, keep: int) -> DescriptorChunk:
     batches = []
     for batch in chunk.batches:
         batches.extend(_clip_batch(batch, cutoff))
-    addresses = writes = span_positions = None
-    if chunk.positions is not None and chunk.positions.size:
-        alive = chunk.positions < cutoff
-        addresses = chunk.addresses[alive]
-        writes = chunk.writes[alive]
-        span_positions = chunk.positions[alive]
-    return DescriptorChunk(
-        total=keep,
-        pos_bound=cutoff,
-        batches=batches,
-        addresses=addresses,
-        writes=writes,
-        positions=span_positions,
-    )
+    return DescriptorChunk(total=keep, pos_bound=cutoff, batches=batches)
 
 
 # -- comparison helpers ---------------------------------------------------------
@@ -119,7 +104,7 @@ def assert_value_equal(got, want, label: str) -> None:
 
 
 def assert_chunks_equal(got: DescriptorChunk, want: DescriptorChunk) -> None:
-    for name in ("total", "pos_bound", "addresses", "writes", "positions"):
+    for name in ("total", "pos_bound"):
         assert_value_equal(getattr(got, name), getattr(want, name), name)
     assert len(got.batches) == len(want.batches), "batch count"
     for index, (have, expected) in enumerate(zip(got.batches, want.batches)):
@@ -166,7 +151,7 @@ class TestAgainstBisection:
                 assert np.array_equal(t_addresses, addresses[:keep])
                 assert np.array_equal(t_writes, writes[:keep])
 
-    @pytest.mark.parametrize("build", [overlapping_grid_chunk, mixed_span_chunk])
+    @pytest.mark.parametrize("build", [overlapping_grid_chunk, interleaved_runs_chunk])
     def test_handbuilt_chunks_every_cut(self, build):
         chunk = build()
         addresses, writes = chunk.expand()
