@@ -15,8 +15,8 @@ Three views are reported:
   ``PAIRS`` alternating pairs (per-candidate first in even pairs, batched
   first in odd ones); the reported speedup is the ratio of the medians.
 * **unique only** — the same generation with duplicates removed; isolates
-  the batch simulator's reused hierarchy from the dedupe effect.  Timed in
-  ``PAIRS`` alternating pairs as well.
+  the runner's own cost from the dedupe effect.  Timed in ``PAIRS``
+  alternating pairs as well.
 * **engine floor** — ``BatchSimulator.run_batch`` on the unique programs
   with no runner machinery and no scoring: the raw simulation throughput
   the runner can at best approach.

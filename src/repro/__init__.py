@@ -65,8 +65,8 @@ def simulate_batch(
 ):
     """Simulate many programs on one :class:`repro.sim.BatchSimulator`.
 
-    The programs run one after another on a cache hierarchy built once and
-    reset before each of them.  Returns one
+    The programs run one after another, each on its own freshly built cold
+    cache hierarchy.  Returns one
     :class:`repro.sim.SimulationResult` or
     :class:`repro.sim.SimulationFailure` per program, in input order, with
     per-candidate failure containment (one bad candidate never poisons the

@@ -45,8 +45,3 @@ def get_func(name: str, default: Optional[Callable] = None) -> Optional[Callable
 def remove_func(name: str) -> None:
     """Remove a registration (no error if absent)."""
     _REGISTRY.pop(name, None)
-
-
-def registered_names() -> list:
-    """All registered function names."""
-    return sorted(_REGISTRY)

@@ -6,7 +6,8 @@ training phase of the score predictor needs.
 
 ``SimulatorRunner`` is Contribution I of the paper (Listing 3): it executes
 the implementations on ``n_parallel`` instruction-accurate simulator
-instances and returns a *score* per implementation.  The function that maps a
+instances (one :class:`~repro.sim.simulator.BatchSimulator`, each program on
+its own cold hierarchy) and returns a *score* per implementation.  The function that maps a
 finished simulation to a score is pluggable; during the execution phase it is
 a trained score predictor, and it can also be overridden globally through the
 function registry under the name ``"autotvm.simulator_run"``.
@@ -29,9 +30,9 @@ from repro.autotune.registry import get_func
 from repro.hardware.board import TargetBoard
 from repro.sim.cpu import TraceOptions
 from repro.sim.runtime_config import RuntimeConfig
-from repro.sim.simulator import SimulationFailure, SimulationResult, SimulatorPool
+from repro.sim.simulator import BatchSimulator, SimulationFailure, SimulationResult
 
-#: Union the resilient pool APIs hand back per candidate.
+#: Union the batch simulator hands back per candidate.
 SimulationOutcome = Union[SimulationResult, SimulationFailure]
 
 #: Signature of a score function: (simulation result, measure input) -> score.
@@ -46,7 +47,7 @@ _FAILURE_ERROR_NO = {
 
 
 def _failure_result(failure: SimulationFailure) -> MeasureResult:
-    """Convert one pool failure record into a structured measurement error."""
+    """Convert one simulation failure record into a structured measurement error."""
     return MeasureResult(
         costs=[],
         error_no=_FAILURE_ERROR_NO.get(failure.kind, MeasureErrorNo.RUNTIME_ERROR),
@@ -109,10 +110,9 @@ class SimulatorRunner(Runner):
     simulation (within one runner every other memoization-key component is
     fixed, so digest-level dedupe coincides exactly with memo-key dedupe),
     the surviving unique programs go to the runner's
-    :class:`~repro.sim.simulator.SimulatorPool` as one batch (one
-    :class:`~repro.sim.simulator.BatchSimulator` per slice), and each unique
-    result is fanned back out to all duplicate positions as an independent
-    copy.  Results stream back
+    :class:`~repro.sim.simulator.BatchSimulator` as one batch, and each
+    unique result is fanned back out to all duplicate positions as an
+    independent copy.  Results stream back
     per candidate (``on_result``) so a tuner's ``update()`` can consume
     them incrementally; callbacks fire strictly in input order as the
     settled prefix grows, because stateful score functions (the
@@ -141,10 +141,10 @@ class SimulatorRunner(Runner):
         self.trace_options = trace_options
         self.score_function = score_function
         self.config = config if config is not None else RuntimeConfig()
-        self.pool = SimulatorPool(
-            arch=arch,
-            n_parallel=n_parallel,
+        self.simulator = BatchSimulator(
+            arch,
             trace_options=trace_options,
+            n_parallel=n_parallel,
             backend=backend,
             config=self.config,
         )
@@ -159,13 +159,13 @@ class SimulatorRunner(Runner):
 
     # -- the simulator interface -------------------------------------------
     def simulator_run(self, programs) -> List[SimulationOutcome]:
-        """Execute the built programs on the simulator pool.
+        """Execute the built programs on the batch simulator.
 
         This is the override point of the paper's interface: registering a
-        function under ``"autotvm.simulator_run"`` replaces the built-in pool
-        (for instance to drive an external simulator); the override receives
-        the *deduplicated* program list.  The built-in pool runs through the
-        resilient API, so individual entries may be
+        function under ``"autotvm.simulator_run"`` replaces the built-in
+        batch simulator (for instance to drive an external simulator); the
+        override receives the *deduplicated* program list.  The built-in
+        batch simulator contains failures, so individual entries may be
         :class:`~repro.sim.simulator.SimulationFailure` records (hung,
         crashed or erroring candidates) instead of results; an external
         override may return plain results only.
@@ -173,12 +173,12 @@ class SimulatorRunner(Runner):
         return list(self._iter_simulator_run(programs))
 
     def _iter_simulator_run(self, programs) -> Iterator[SimulationOutcome]:
-        """Stream pool outcomes in input order as candidates complete."""
+        """Stream simulation outcomes in input order as candidates complete."""
         external = get_func("autotvm.simulator_run")
         if external is not None:
             yield from external(programs, self.arch, self.n_parallel)
         else:
-            yield from self.pool.iter_batch_resilient(programs)
+            yield from self.simulator.iter_batch(programs)
 
     def default_score(self, result: SimulationResult, measure_input: MeasureInput) -> float:
         """Fallback score when no predictor is attached: total executed instructions.
@@ -329,10 +329,10 @@ class RunnerStatsCollector(Runner):
         self.board = board
         self.arch = arch or board.arch
         self.config = config if config is not None else RuntimeConfig()
-        self.pool = SimulatorPool(
-            arch=self.arch,
-            n_parallel=n_parallel,
+        self.simulator = BatchSimulator(
+            self.arch,
             trace_options=trace_options,
+            n_parallel=n_parallel,
             backend=backend,
             config=self.config,
         )
@@ -346,10 +346,10 @@ class RunnerStatsCollector(Runner):
     ) -> List[MeasureResult]:
         results: List[MeasureResult] = []
         ok_programs = [build.program for build in build_results if build.ok]
-        # The pool streams simulations back while this loop is still
-        # measuring earlier candidates on the board, so the two halves of a
-        # training pair overlap instead of serialising per candidate.
-        simulations = self.pool.iter_batch_resilient(ok_programs)
+        # The batch simulator streams simulations back while this loop is
+        # still measuring earlier candidates on the board, so the two halves
+        # of a training pair overlap instead of serialising per candidate.
+        simulations = self.simulator.iter_batch(ok_programs)
         for measure_input, build in zip(measure_inputs, build_results):
             if not build.ok:
                 results.append(

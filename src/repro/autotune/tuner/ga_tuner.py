@@ -53,9 +53,6 @@ class GATuner(Tuner):
             remaining //= size
         return genome
 
-    def _random_genome(self) -> List[int]:
-        return [int(self.rng.integers(0, size)) for size in self._knob_sizes]
-
     # -- tuner interface -------------------------------------------------------
     def next_batch(self, batch_size: int) -> List[ConfigEntity]:
         if len(self._fitness) < self.population_size:

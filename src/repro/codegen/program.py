@@ -89,12 +89,6 @@ class LinearPredicate:
             value = value + coeff * env[var]
         return self._OPS[self.op](value, 0)
 
-    def satisfaction_fraction(
-        self, extents: Dict[str, int], rng: Optional[np.random.Generator] = None
-    ) -> float:
-        """Fraction of the iteration sub-space on which the predicate holds."""
-        return predicate_fraction([self], extents, rng)
-
 
 def predicate_fraction(
     predicates: Sequence[LinearPredicate],

@@ -61,11 +61,6 @@ class MeasurementRecord:
         """Standard deviation of the kept repetitions."""
         return float(np.std(self.kept_times()))
 
-    @property
-    def min_s(self) -> float:
-        """Fastest repetition."""
-        return float(np.min(self.times_s))
-
     def kept_times(self) -> np.ndarray:
         """Repetition times after symmetric outlier removal."""
         times = np.sort(np.asarray(self.times_s, dtype=float))

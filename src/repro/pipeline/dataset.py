@@ -6,9 +6,10 @@ instruction-accurate simulator (statistics) and on the target board (reference
 run time).  Because generation is the most expensive part of the reproduction,
 datasets can be cached on disk as JSON, and the per-group work — which is
 fully independent (every group seeds its own sampler, simulator and board) —
-runs on a :class:`~repro.sim.simulator.SimulatorPool`-style worker pool
-(``threads`` by default: the simulation hot path lives inside NumPy kernels
-and the compiled event kernel, both of which release the interpreter lock).
+runs on a worker pool like the :class:`~repro.sim.simulator.BatchSimulator`
+backends (``threads`` by default: the simulation hot path lives inside NumPy
+kernels and the compiled event kernel, both of which release the interpreter
+lock).
 Results are assembled in group order, so parallel generation is
 bit-identical to serial generation.
 """

@@ -336,7 +336,7 @@ class SimulationService:
     def _compute_miss(self, digest: str, program, hierarchy):
         """Simulate one miss: worker wave for the service hierarchy, inline
         one-off simulation for a request-supplied hierarchy."""
-        if hierarchy is self.simulator.hierarchy_config:
+        if hierarchy == self.simulator.hierarchy_config:
             return self.worker.run_sync(digest, program, self.wait_timeout_s)
         from repro.sim.simulator import Simulator, _attempt_program
 

@@ -200,10 +200,17 @@ class ResultStore:
                 self.misses += 1
                 return None
             stats_json, checksum, schema = row
-            if schema != CACHE_SCHEMA_VERSION or (
-                hashlib.sha256(stats_json.encode("utf-8")).hexdigest() != checksum
+            flat = None
+            if schema == CACHE_SCHEMA_VERSION and (
+                hashlib.sha256(stats_json.encode("utf-8")).hexdigest() == checksum
             ):
-                # Defensive: a corrupted or stale row is dropped and re-simulated.
+                try:
+                    flat = {str(k): float(v) for k, v in json.loads(stats_json).items()}
+                except (ValueError, TypeError, AttributeError):
+                    pass
+            if flat is None:
+                # Defensive: a corrupted, stale or undecodable row is dropped
+                # and re-simulated.
                 self._conn.execute("DELETE FROM results WHERE digest = ?", (digest,))
                 self._conn.commit()
                 self.misses += 1
@@ -215,11 +222,7 @@ class ResultStore:
             )
             self._conn.commit()
             self.hits += 1
-        try:
-            flat = json.loads(stats_json)
-            return {str(k): float(v) for k, v in flat.items()}
-        except (ValueError, TypeError, AttributeError):
-            return None
+        return flat
 
     def put(self, digest: str, flat: Dict[str, float]) -> None:
         """Insert or refresh one result (idempotent — keys are content hashes)."""

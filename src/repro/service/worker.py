@@ -6,14 +6,13 @@ their HTTP thread blocks on, while ``wait=false`` misses are written ahead
 to the store's **durable job journal** and claimed here lease-by-lease.  A
 background worker thread gathers both into waves of jobs and streams each
 wave through :meth:`~repro.sim.simulator.BatchSimulator.iter_batch`, one
-per-candidate run after another on the simulator's reused hierarchy, with
-the full reliability semantics (cooperative per-candidate deadlines, retry
-accounting, per-candidate crash containment).  Each job settles as soon as
-its own run finishes.  A crashed or erroring candidate settles as a
+per-candidate run after another, each on a freshly built cold hierarchy,
+with the full reliability semantics (cooperative per-candidate deadlines,
+retry accounting, per-candidate crash containment).  Each job settles as
+soon as its own run finishes.  A crashed or erroring candidate settles as a
 structured :class:`~repro.sim.simulator.SimulationFailure` for its own
 requester only; its wave-mates and the worker itself keep going — the same
-containment every ``SimulatorPool`` backend gets from
-``iter_batch_resilient``.
+containment every ``BatchSimulator`` backend gives a local caller.
 
 Above the worker thread sits a **supervisor**: a heartbeat loop that
 restarts the worker if its thread dies (the ``worker_thread_crash``
@@ -93,9 +92,9 @@ class SimulationWorker:
     def __init__(
         self,
         simulator: BatchSimulator,
+        journal,
         max_wave: int = MAX_WAVE_JOBS,
         poll_s: float = 0.05,
-        journal=None,
         lease_s: float = 30.0,
         max_job_attempts: int = 3,
         breaker: Optional[CircuitBreaker] = None,
@@ -106,8 +105,7 @@ class SimulationWorker:
         self.max_wave = int(max_wave)
         self.poll_s = float(poll_s)
         #: Durable journal (a :class:`~repro.service.store.ResultStore`, or
-        #: anything with its ``journal_*`` surface); ``None`` disables
-        #: durability — the in-memory legacy mode.
+        #: anything with its ``journal_*`` surface).
         self.journal = journal
         self.lease_s = float(lease_s)
         self.max_job_attempts = int(max_job_attempts)
@@ -128,10 +126,9 @@ class SimulationWorker:
         #: the worker thread dies mid-wave.
         self._wave_lock = threading.Lock()
         self._current_wave: List[SimulationJob] = []
-        if self.journal is not None:
-            # Startup recovery: re-queue every expired lease a dead worker
-            # (possibly in a previous process) left behind.
-            self.journal.journal_recover()
+        # Startup recovery: re-queue every expired lease a dead worker
+        # (possibly in a previous process) left behind.
+        self.journal.journal_recover()
         self._thread = self._spawn_worker()
         self._supervisor: Optional[threading.Thread] = None
         if supervise:
@@ -164,10 +161,7 @@ class SimulationWorker:
 
     def backlog(self) -> int:
         """Unsettled depth: in-memory queue plus pending journal rows."""
-        depth = self._queue.qsize()
-        if self.journal is not None:
-            depth += self.journal.journal_pending()
-        return depth
+        return self._queue.qsize() + self.journal.journal_pending()
 
     # -- wave assembly ------------------------------------------------------
     def _gather_wave(self) -> List[SimulationJob]:
@@ -185,14 +179,13 @@ class SimulationWorker:
                 # The waiter is gone; hand the job to the journal so the
                 # result still gets computed and stored for pollers.
                 self.skipped_abandoned += 1
-                if self.journal is not None:
-                    self.journal.journal_enqueue(
-                        job.digest, pickle.dumps(job.program), job.tenant
-                    )
+                self.journal.journal_enqueue(
+                    job.digest, pickle.dumps(job.program), job.tenant
+                )
             else:
                 kept.append(job)
         wave = kept
-        if self.journal is None or len(wave) >= self.max_wave:
+        if len(wave) >= self.max_wave:
             return wave
         claim_limit = self.max_wave - len(wave)
         if self.breaker is not None and not wave:
@@ -311,10 +304,9 @@ class SimulationWorker:
         while not self._stop.wait(self.heartbeat_s):
             if not self._thread.is_alive():
                 self._recover_dead_worker()
-            if self.journal is not None:
-                # Reclaim leases expired by crashed processes (ours cannot
-                # expire silently: a dead thread is handled right above).
-                self.journal.journal_recover()
+            # Reclaim leases expired by crashed processes (ours cannot
+            # expire silently: a dead thread is handled right above).
+            self.journal.journal_recover()
 
     def _recover_dead_worker(self) -> None:
         """Restart a dead worker thread and rescue its in-flight wave."""
@@ -328,7 +320,7 @@ class SimulationWorker:
                 requeue.append(job.digest)
             else:
                 self._queue.put(job)
-        if requeue and self.journal is not None:
+        if requeue:
             self.journal.journal_requeue(requeue)
         if self.breaker is not None:
             # A dying worker thread is a whole-wave fault by definition.
@@ -363,7 +355,7 @@ class SimulationWorker:
                 job = self._queue.get_nowait()
             except queue.Empty:
                 return
-            if job.done.is_set() or self.journal is None:
+            if job.done.is_set():
                 continue
             self.journal.journal_enqueue(
                 job.digest, pickle.dumps(job.program), job.tenant

@@ -67,7 +67,6 @@ from repro.sim.simulator import (
     Simulator,
     SimulationFailure,
     SimulationResult,
-    SimulatorPool,
 )
 
 __all__ = [
@@ -108,5 +107,4 @@ __all__ = [
     "Simulator",
     "SimulationFailure",
     "SimulationResult",
-    "SimulatorPool",
 ]

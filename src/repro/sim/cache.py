@@ -25,10 +25,9 @@ the replayable counter-based stream of
 per-set eviction ordinal)``: the ``k``-th eviction in a set always evicts
 the same rank (by descending insertion recency) for a given seed, no matter
 which engine — or which schedule inside the vectorized engine — processes
-the trace.  ``CacheConfig.rng_seed`` (overridable per cache via the
-``rng_seed`` constructor argument) selects the stream; two caches with the
-same seed and trace are bit-identical, two different seeds draw independent
-victim sequences.
+the trace.  ``CacheConfig.rng_seed`` selects the stream; two caches with
+the same seed and trace are bit-identical, two different seeds draw
+independent victim sequences.
 
 The engine is selected per cache via the ``engine`` constructor argument
 (``None`` is the vectorized engine); a simulator passes its
@@ -138,7 +137,6 @@ class Cache:
         self,
         config: CacheConfig,
         next_level=None,
-        rng_seed: Optional[int] = None,
         engine: Optional[str] = None,
     ):
         self.config = config
@@ -146,7 +144,7 @@ class Cache:
         self._offset_bits = int(np.log2(config.line_bytes))
         self._set_mask = config.sets - 1
         self.engine = resolve_engine(engine)
-        self.rng_seed = config.rng_seed if rng_seed is None else int(rng_seed)
+        self.rng_seed = config.rng_seed
         self._policy: PolicySpec = get_policy(config.replacement)
         self._state: Optional[VectorCacheState] = None
         # Way-slot state of the reference engine, driven through the policy's
@@ -181,16 +179,6 @@ class Cache:
         self.writebacks = 0
         self.sequential_misses = 0
         self._last_miss_line = -2
-
-    def reset_state(self) -> None:
-        """Flush the cache contents, rewind the victim stream and zero the counters."""
-        if self._state is not None:
-            self._state.reset()
-        else:
-            self._ref = ReferenceCacheState(
-                self._policy, self.config.sets, self.config.associativity, self.rng_seed
-            )
-        self.reset_stats()
 
     @property
     def accesses(self) -> int:

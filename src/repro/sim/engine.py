@@ -626,17 +626,12 @@ class VectorCacheState:
         # Views handed out by _buffer are only valid until the next request
         # for the same name; every consumer is within one chunk dispatch.
         self._buffers: dict = {}
-        self.reset()
-
-    def reset(self) -> None:
-        """Flush all resident lines."""
-        sets, assoc = self.sets, self.associativity
-        self.tags = np.full((sets, assoc), -1, dtype=np.int64)
-        self.dirty = np.zeros((sets, assoc), dtype=bool)
+        self.tags = np.full((sets, associativity), -1, dtype=np.int64)
+        self.dirty = np.zeros((sets, associativity), dtype=bool)
         # Policy tick plane (last-use under LRU, insertion tick otherwise)
         # and the policy's aux plane (PLRU bits / RRIP counters / dummy).
-        self.recency = np.zeros((sets, assoc), dtype=np.int64)
-        self.aux = self.policy.new_aux_arrays(sets, assoc)
+        self.recency = np.zeros((sets, associativity), dtype=np.int64)
+        self.aux = self.policy.new_aux_arrays(sets, associativity)
         self.occupancy = np.zeros(sets, dtype=np.int64)
         # Per-set eviction ordinals: the counter half of the replayable
         # random-replacement victim stream (maintained for every policy so

@@ -129,18 +129,6 @@ class CacheHierarchy:
             caches["l3"] = self.l3
         return caches
 
-    def reset_stats(self) -> None:
-        """Zero counters of every level and of main memory."""
-        for cache in self.all_caches().values():
-            cache.reset_stats()
-        self.memory.reset_stats()
-
-    def reset_state(self) -> None:
-        """Flush every level and zero all counters (cold caches)."""
-        for cache in self.all_caches().values():
-            cache.reset_state()
-        self.memory.reset_stats()
-
     def stats_dict(self) -> Dict[str, Dict[str, float]]:
         """Per-level statistics, keyed by level name plus ``mem``."""
         stats = {name: cache.stats_dict() for name, cache in self.all_caches().items()}

@@ -13,7 +13,7 @@ together with the hierarchy, trace options and engine.  Values are stored
 as flat statistics snapshots and reconstructed into fresh
 :class:`~repro.sim.stats.SimulationStats` objects on every lookup, so
 callers can never mutate a cached entry through an alias.  The store is
-thread-safe: every backend of :class:`~repro.sim.simulator.SimulatorPool`
+thread-safe: every backend of :class:`~repro.sim.simulator.BatchSimulator`
 memoizes in the calling process through one cache.  Simulators look a key
 up, simulate on a miss and store the result;
 :meth:`SimulationCache.get_or_compute`, which coalesces concurrent requests

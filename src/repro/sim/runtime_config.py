@@ -3,7 +3,7 @@
 :class:`RuntimeConfig` is a frozen dataclass of concrete settings.  It is
 the only route by which engine, replacement policy, memoization, budget
 and retry reach a :class:`~repro.sim.Simulator`, a
-:class:`~repro.sim.SimulatorPool` or the runners built on them; nothing
+:class:`~repro.sim.BatchSimulator` or the runners built on them; nothing
 below it reads the environment.  Constructing one never reads the
 environment either: ``RuntimeConfig()`` is the default plan.  The trace
 representation is not a setting: it follows the engine (descriptor runs

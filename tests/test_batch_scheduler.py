@@ -1,9 +1,9 @@
 """Batch simulator and batched runner: equivalence with per-candidate runs.
 
 ``BatchSimulator.iter_batch`` runs every candidate through
-``_attempt_program`` on one hierarchy that it builds once and resets
-between candidates, and ``SimulatorRunner`` deduplicates a generation and
-fans the unique results back out.  Both must be bit-identical — same
+``_attempt_program``, each on a freshly built cold hierarchy, on every
+backend, and ``SimulatorRunner`` deduplicates a generation and fans the
+unique results back out.  Both must be bit-identical — same
 statistics, same error mapping, same retry accounting, same tuner
 trajectory — to simulating every candidate alone on a cold hierarchy.  The
 per-candidate side of every comparison is the oracle: one cold
@@ -41,7 +41,6 @@ from repro.sim import (
     BatchSimulator,
     RuntimeConfig,
     Simulator,
-    SimulatorPool,
     TraceOptions,
     _native,
 )
@@ -170,10 +169,11 @@ class TestBatchSimulatorEquivalence:
 
 
 class TestBatchSimulatorRoute:
-    """The batch simulator is the per-candidate route on a reused hierarchy."""
+    """The batch simulator is the per-candidate route: one cold hierarchy
+    per simulated program."""
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_hierarchy_is_built_once(self, programs, engine, monkeypatch):
+    def test_one_fresh_hierarchy_per_simulated_program(self, programs, engine, monkeypatch):
         built = []
 
         class CountingHierarchy(simulator_module.CacheHierarchy):
@@ -182,11 +182,17 @@ class TestBatchSimulatorRoute:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(simulator_module, "CacheHierarchy", CountingHierarchy)
-        config = RuntimeConfig(engine=engine, memoize=False)
-        batch = BatchSimulator("arm", trace_options=TRACE, config=config)
+        config = RuntimeConfig(engine=engine)
+        batch = BatchSimulator("arm", trace_options=TRACE, memo_cache=SimulationCache(),
+                               config=config)
         batched = batch.run_batch(programs)
-        assert len(built) == 1
-        oracle = [Simulator("arm", trace_options=TRACE, config=config).run(p) for p in programs]
+        assert len(built) == len(programs)
+        assert all(result.cached for result in batch.run_batch(programs))
+        assert len(built) == len(programs)  # a memo hit builds no hierarchy
+        oracle = [
+            Simulator("arm", trace_options=TRACE, config=replace(config, memoize=False)).run(p)
+            for p in programs
+        ]
         assert_bit_identical(batched, oracle)
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
@@ -253,7 +259,7 @@ class TestBatchFailureIsolation:
     def test_error_is_isolated_and_mapped_identically(self, programs):
         mixed = [programs[0], _BrokenProgram(), programs[1]]
         batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
-        outcomes = list(batch.iter_batch(mixed, retry=RetryPolicy()))
+        outcomes = list(batch.iter_batch(mixed))
         simulator = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         serial = [simulator.run(p) for p in (programs[0], programs[1])]
         assert flat(outcomes[0]) == flat(serial[0])
@@ -274,9 +280,9 @@ class TestBatchFailureIsolation:
         mixed = [programs[0], _BrokenProgram(), programs[1]]
         oracle = Simulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         per_candidate = [_attempt_program(oracle, p, 0.0, retry) for p in mixed]
-        pool = SimulatorPool("arm", n_parallel=n_parallel, trace_options=TRACE,
-                             backend=backend, config=replace(UNMEMOIZED, retry=retry))
-        batched = list(pool.iter_batch_resilient(mixed))
+        batch = BatchSimulator("arm", trace_options=TRACE, n_parallel=n_parallel,
+                               backend=backend, config=replace(UNMEMOIZED, retry=retry))
+        batched = list(batch.iter_batch(mixed))
         assert len(batched) == len(per_candidate)
         for b, s in zip(batched, per_candidate):
             assert type(b) is type(s)
@@ -285,16 +291,26 @@ class TestBatchFailureIsolation:
             else:
                 assert flat(b) == flat(s)
 
-    def test_run_many_raises_naming_program_and_kind(self, programs):
-        pool = SimulatorPool("arm", trace_options=TRACE, config=UNMEMOIZED)
+    def test_run_batch_raises_naming_program_and_kind(self, programs):
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         with pytest.raises(RuntimeError, match=r"'broken' failed \(error\): .*synthetic"):
-            pool.run_many([programs[0], _BrokenProgram()])
+            batch.run_batch([programs[0], _BrokenProgram()])
+
+    def test_run_batch_retries_per_config(self, programs):
+        faults.configure("worker_crash:once")
+        retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
+        batch = BatchSimulator(
+            "arm", trace_options=TRACE, config=replace(UNMEMOIZED, retry=retry)
+        )
+        serial = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
+        assert_bit_identical(batch.run_batch(programs), serial)
 
     def test_timeout_is_final_and_isolated(self, programs):
-        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
-        outcomes = list(
-            batch.iter_batch(programs, timeout_s=1e-9, retry=RetryPolicy(max_attempts=3))
+        batch = BatchSimulator(
+            "arm", trace_options=TRACE,
+            config=replace(UNMEMOIZED, retry=RetryPolicy(max_attempts=3)),
         )
+        outcomes = list(batch.iter_batch(programs, timeout_s=1e-9))
         assert len(outcomes) == len(programs)
         for outcome in outcomes:
             assert isinstance(outcome, SimulationFailure)
@@ -303,16 +319,18 @@ class TestBatchFailureIsolation:
 
     def test_injected_crash_is_retried_in_isolation(self, programs):
         faults.configure("worker_crash:once")
-        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
-        outcomes = list(batch.iter_batch(programs, retry=retry))
+        batch = BatchSimulator(
+            "arm", trace_options=TRACE, config=replace(UNMEMOIZED, retry=retry)
+        )
+        outcomes = list(batch.iter_batch(programs))
         serial = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
         assert_bit_identical(outcomes, serial)
 
     def test_injected_crash_without_retry_budget_fails_alone(self, programs):
         faults.configure("worker_crash:once")
         batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
-        outcomes = list(batch.iter_batch(programs, retry=RetryPolicy()))
+        outcomes = list(batch.iter_batch(programs))
         assert isinstance(outcomes[0], SimulationFailure)
         assert outcomes[0].kind == SimulationFailure.CRASH
         serial = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
@@ -320,35 +338,35 @@ class TestBatchFailureIsolation:
 
 
 # ---------------------------------------------------------------------------
-# Pool memoization in the calling process
+# Backend memoization in the calling process
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture()
 def caller_memo(monkeypatch):
-    """A fresh process-wide default cache, so every pool starts cold."""
+    """A fresh process-wide default cache, so every batch simulator starts cold."""
     memo = SimulationCache()
     monkeypatch.setattr(memo_module, "_DEFAULT_CACHE", memo)
     return memo
 
 
 class TestPoolCallerMemo:
-    """Every pool backend memoizes through the caller's default cache.
+    """Every backend memoizes through the caller's default cache.
 
     The ``processes`` backend looks each program up before dispatch, sends
     only the misses to its workers and stores each returned result under
-    its ``sim_digest``; ``serial`` and ``threads`` memoize inside their batch
-    simulators.  Either way a pool reads and fills the same cache as a plain
-    ``Simulator``, and failures never enter it.
+    its ``sim_digest``; ``serial`` and ``threads`` memoize per candidate
+    run.  Either way a batch simulator reads and fills the same cache as a
+    plain ``Simulator``, and failures never enter it.
     """
 
-    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    @pytest.mark.parametrize("backend", BatchSimulator.BACKENDS)
     def test_hits_and_misses_keep_input_order(self, backend, programs, caller_memo):
         warm = (0, 2)
         for index in warm:
             Simulator("arm", trace_options=TRACE).run(programs[index])
-        pool = SimulatorPool("arm", n_parallel=2, trace_options=TRACE, backend=backend)
-        outcomes = pool.run_many(programs)
+        batch = BatchSimulator("arm", trace_options=TRACE, n_parallel=2, backend=backend)
+        outcomes = batch.run_batch(programs)
         assert [o.program_name for o in outcomes] == [p.name for p in programs]
         assert [o.cached for o in outcomes] == [i in warm for i in range(len(programs))]
         oracle = [Simulator("arm", trace_options=TRACE, config=UNMEMOIZED).run(p) for p in programs]
@@ -356,10 +374,10 @@ class TestPoolCallerMemo:
         assert [o.sim_digest for o in outcomes] == [o.sim_digest for o in oracle]
         assert len(caller_memo) == len(programs)
 
-    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    @pytest.mark.parametrize("backend", BatchSimulator.BACKENDS)
     def test_pool_results_serve_a_plain_simulator(self, backend, programs, caller_memo):
-        pool = SimulatorPool("arm", n_parallel=2, trace_options=TRACE, backend=backend)
-        computed = pool.run_many(programs)
+        batch = BatchSimulator("arm", trace_options=TRACE, n_parallel=2, backend=backend)
+        computed = batch.run_batch(programs)
         assert not any(result.cached for result in computed)
         for program, result in zip(programs, computed):
             replay = Simulator("arm", trace_options=TRACE).run(program)
@@ -376,33 +394,33 @@ class TestPoolCallerMemo:
             return real_executor(*args, **kwargs)
 
         monkeypatch.setattr(simulator_module, "ProcessPoolExecutor", counting_executor)
-        pool = SimulatorPool("arm", n_parallel=2, trace_options=TRACE, backend="processes")
-        first = pool.run_many(programs[:3])
+        batch = BatchSimulator("arm", trace_options=TRACE, n_parallel=2, backend="processes")
+        first = batch.run_batch(programs[:3])
         assert spawned == [2]
         spawned.clear()
-        second = pool.run_many(programs[:3])
+        second = batch.run_batch(programs[:3])
         assert spawned == []  # a fully memoized batch starts no worker
         assert all(result.cached for result in second)
         assert_bit_identical(second, first)
-        mixed = pool.run_many(programs[:4])
+        mixed = batch.run_batch(programs[:4])
         assert spawned == [1]  # one worker, for the one miss
         assert [result.cached for result in mixed] == [True, True, True, False]
 
-    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    @pytest.mark.parametrize("backend", BatchSimulator.BACKENDS)
     def test_failures_are_not_memoized(self, backend, programs, caller_memo):
-        pool = SimulatorPool(
-            "arm", n_parallel=2, trace_options=TRACE, backend=backend,
+        batch = BatchSimulator(
+            "arm", trace_options=TRACE, n_parallel=2, backend=backend,
             config=RuntimeConfig(timeout_s=1e-9),
         )
-        outcomes = list(pool.iter_batch_resilient(programs[:2]))
+        outcomes = list(batch.iter_batch(programs[:2]))
         assert all(
             isinstance(o, SimulationFailure) and o.kind == SimulationFailure.TIMEOUT
             for o in outcomes
         )
         assert len(caller_memo) == 0
-        rerun = SimulatorPool(
-            "arm", n_parallel=2, trace_options=TRACE, backend=backend
-        ).run_many(programs[:2])
+        rerun = BatchSimulator(
+            "arm", trace_options=TRACE, n_parallel=2, backend=backend
+        ).run_batch(programs[:2])
         assert not any(result.cached for result in rerun)
 
 

@@ -1,6 +1,6 @@
 """Chaos test harness: deadlines, retries, crash isolation, degradation.
 
-Every test drives *real* production paths — the simulator pool, the
+Every test drives *real* production paths — the batch simulator, the
 autotuning measure loop, the native kernel dispatch and the dataset
 pipeline — under deterministic fault injection
 (:mod:`repro.reliability.faults`).  The invariant checked throughout: a
@@ -51,11 +51,11 @@ from repro.reliability import (
 )
 from repro.reliability import faults
 from repro.sim import (
+    BatchSimulator,
     RuntimeConfig,
     SimulationFailure,
     SimulationResult,
     Simulator,
-    SimulatorPool,
     TraceOptions,
 )
 from repro.sim import _native
@@ -377,7 +377,7 @@ class TestDeadline:
 
 
 # ---------------------------------------------------------------------------
-# Resilient simulator pool
+# Resilient batch simulator on every backend
 # ---------------------------------------------------------------------------
 
 
@@ -398,18 +398,18 @@ class TestResilientPool:
         # Forked pool workers re-read the environment; keep them fault-free
         # even when a CI chaos leg exports an ambient profile.
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        pool = SimulatorPool(
-            "arm", n_parallel=n_parallel, backend=backend, trace_options=TRACE,
+        batch = BatchSimulator(
+            "arm", trace_options=TRACE, n_parallel=n_parallel, backend=backend,
             config=UNMEMOIZED,
         )
-        outcomes = list(pool.iter_batch_resilient(programs))
+        outcomes = list(batch.iter_batch(programs))
         assert all(isinstance(o, SimulationResult) for o in outcomes)
         assert [flat(o) for o in outcomes] == baseline
 
     def test_serial_crash_contained_without_retry(self, programs):
         faults.configure("worker_crash:n=1", seed=7)
-        pool = SimulatorPool("arm", trace_options=TRACE, config=UNMEMOIZED)
-        outcomes = list(pool.iter_batch_resilient(programs))
+        batch = BatchSimulator("arm", trace_options=TRACE, config=UNMEMOIZED)
+        outcomes = list(batch.iter_batch(programs))
         failures = [o for o in outcomes if isinstance(o, SimulationFailure)]
         assert len(failures) == 1
         assert failures[0].kind == SimulationFailure.CRASH
@@ -418,34 +418,34 @@ class TestResilientPool:
 
     def test_serial_crash_retried_to_success(self, programs, baseline):
         faults.configure("worker_crash:n=2", seed=7)
-        pool = SimulatorPool(
+        batch = BatchSimulator(
             "arm",
             trace_options=TRACE,
             config=replace(UNMEMOIZED, retry=RetryPolicy(max_attempts=3, base_delay_s=0.001)),
         )
-        outcomes = list(pool.iter_batch_resilient(programs))
+        outcomes = list(batch.iter_batch(programs))
         assert all(isinstance(o, SimulationResult) for o in outcomes)
         assert [flat(o) for o in outcomes] == baseline
 
     def test_threads_crash_contained_per_program(self, programs):
         faults.configure("worker_crash:n=1", seed=3)
-        pool = SimulatorPool(
-            "arm", n_parallel=3, backend="threads", trace_options=TRACE, config=UNMEMOIZED
+        batch = BatchSimulator(
+            "arm", trace_options=TRACE, n_parallel=3, backend="threads", config=UNMEMOIZED
         )
         # The crash is contained per candidate inside its slice, so no slice
         # dies and nothing degrades to serial.
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendDegradationWarning)
-            outcomes = list(pool.iter_batch_resilient(programs))
+            outcomes = list(batch.iter_batch(programs))
         failures = [o for o in outcomes if isinstance(o, SimulationFailure)]
         assert len(failures) == 1 and failures[0].kind == SimulationFailure.CRASH
         assert len(outcomes) == len(programs)
 
     def test_timeout_becomes_failure_record(self, programs):
-        pool = SimulatorPool(
+        batch = BatchSimulator(
             "arm", trace_options=SLOW_TRACE, config=replace(UNMEMOIZED, timeout_s=1e-9)
         )
-        outcomes = list(pool.iter_batch_resilient(programs[:2]))
+        outcomes = list(batch.iter_batch(programs[:2]))
         assert all(
             isinstance(o, SimulationFailure) and o.kind == SimulationFailure.TIMEOUT
             for o in outcomes
@@ -459,25 +459,24 @@ class TestResilientPool:
         # where the parent's own registry (n=1) fires once and is contained.
         monkeypatch.setenv(faults.ENV_VAR, "worker_crash:n=1;seed=3")
         faults.reset()
-        pool = SimulatorPool(
+        batch = BatchSimulator(
             "arm",
+            trace_options=TRACE,
             n_parallel=2,
             backend="processes",
-            trace_options=TRACE,
             max_pool_respawns=0,
             config=UNMEMOIZED,
         )
         with pytest.warns(BackendDegradationWarning):
-            outcomes = list(pool.iter_batch_resilient(programs))
+            outcomes = list(batch.iter_batch(programs))
         assert len(outcomes) == len(programs)
         failures = [o for o in outcomes if isinstance(o, SimulationFailure)]
         assert len(failures) == 1 and failures[0].kind == SimulationFailure.CRASH
         assert len([o for o in outcomes if isinstance(o, SimulationResult)]) == len(programs) - 1
 
-    def test_unknown_backend_still_rejected(self):
-        pool = SimulatorPool("arm", backend="fibers")
+    def test_unknown_backend_rejected_when_built(self):
         with pytest.raises(ValueError, match="unknown pool backend"):
-            list(pool.iter_batch_resilient([]))
+            BatchSimulator("arm", backend="fibers")
 
 
 # ---------------------------------------------------------------------------

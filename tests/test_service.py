@@ -6,7 +6,7 @@ paths: :class:`~repro.service.ResultStore` CRUD/eviction/checksums, the
 of the simulation variables and ``RuntimeConfig()`` never reads them),
 ``Simulator``'s config API, the ``repro.simulate`` facade, and the HTTP
 service itself — request coalescing on duplicate digests, auth/quota
-enforcement, worker-crash containment parity with ``iter_batch_resilient``, and
+enforcement, worker-crash containment parity with ``BatchSimulator.iter_batch``, and
 client-vs-local bit-identity (``sim.host_seconds``, a wall-clock observable,
 is excluded from every comparison, as everywhere else in the suite).
 """
@@ -53,12 +53,13 @@ from repro.sim import (
     CACHE_HIERARCHIES,
     AtomicSimpleCPU,
     BatchSimulator,
+    Cache,
+    CacheConfig,
     RuntimeConfig,
     SimulationCache,
     SimulationFailure,
     SimulationResult,
     Simulator,
-    SimulatorPool,
     TraceOptions,
     _native,
     arena_batching_available,
@@ -230,6 +231,25 @@ class TestResultStore:
         assert len(reopened) == 0  # content-addressed recomputables: dropped
         assert reopened.get("digest-a") is None
         reopened.close()
+
+    @pytest.mark.parametrize("text", ['{"a":null}', "[1.0]"])
+    def test_checksummed_row_that_is_not_flat_stats_is_a_miss_and_heals(self, text):
+        """A foreign writer's row whose checksum matches its text, but whose
+        text is not a flat numeric object, reads as a miss and is deleted,
+        so the recomputed result's ``put`` stores it afresh."""
+        store = ResultStore(":memory:")
+        store.put("d", {"a": 2.0})
+        store._conn.execute(
+            "UPDATE results SET stats = ?, sha256 = ? WHERE digest = 'd'",
+            (text, hashlib.sha256(text.encode("utf-8")).hexdigest()),
+        )
+        store._conn.commit()
+        assert store.get("d") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert "d" not in store
+        store.put("d", {"a": 1.0})
+        assert store.get("d") == {"a": 1.0}
+        store.close()
 
     def test_corrupted_row_is_a_miss_and_deleted(self):
         store = ResultStore(":memory:")
@@ -453,16 +473,22 @@ REMOVED_SETTINGS = {
     "TraceOptions-engine": lambda: TraceOptions(engine="reference"),
     "TraceOptions-trace": lambda: TraceOptions(trace="expanded"),
     "DatasetConfig-engine": lambda: DatasetConfig("x86", engine="reference"),
-    "SimulatorPool-memoize": lambda: SimulatorPool("arm", memoize=False),
+    "BatchSimulator-memoize": lambda: BatchSimulator("arm", memoize=False),
+    "BatchSimulator.iter_batch-retry": lambda: next(
+        BatchSimulator("arm").iter_batch([], retry=RetryPolicy())
+    ),
+    "Cache-rng_seed": lambda: Cache(
+        CacheConfig.from_geometry("c", sets=4, associativity=2), rng_seed=3
+    ),
     "SimulatorRunner-engine": lambda: SimulatorRunner("arm", engine="reference"),
     "RunnerStatsCollector-timeout_s": lambda: RunnerStatsCollector(
         TargetBoard("arm"), timeout_s=1.0
     ),
     "SimulationWorker-timeout_s": lambda: SimulationWorker(
-        BatchSimulator("arm"), timeout_s=1.0
+        BatchSimulator("arm"), journal=ResultStore(), timeout_s=1.0
     ),
     "SimulationWorker-retry": lambda: SimulationWorker(
-        BatchSimulator("arm"), retry=RetryPolicy()
+        BatchSimulator("arm"), journal=ResultStore(), retry=RetryPolicy()
     ),
 }
 
@@ -485,12 +511,12 @@ class TestSimulatorConfigAPI:
         assert simulator.memoize is False
 
     def test_pool_threads_config_through(self, programs):
-        """Engines are bit-identical, so a config-selected reference pool
-        must reproduce the default pool's statistics exactly."""
-        default = SimulatorPool("arm", trace_options=TRACE).run_many(programs)
-        configured = SimulatorPool(
+        """Engines are bit-identical, so a config-selected reference batch
+        simulator must reproduce the default one's statistics exactly."""
+        default = BatchSimulator("arm", trace_options=TRACE).run_batch(programs)
+        configured = BatchSimulator(
             "arm", trace_options=TRACE, config=RuntimeConfig(engine="reference")
-        ).run_many(programs)
+        ).run_batch(programs)
         assert [flat(r) for r in configured] == [flat(r) for r in default]
 
 
@@ -692,8 +718,8 @@ class TestServiceHTTP:
             assert stats["worker"]["failures"] == 1
             # Parity with the local resilient API under the same profile.
             faults.configure("worker_crash:n=1", seed=7)
-            pool = SimulatorPool("arm", config=RuntimeConfig(memoize=False))
-            local = list(pool.iter_batch_resilient([big_programs[1]]))[0]
+            batch = BatchSimulator("arm", config=RuntimeConfig(memoize=False))
+            local = list(batch.iter_batch([big_programs[1]]))[0]
             assert isinstance(local, SimulationFailure)
             assert failure.kind == local.kind
             assert failure.attempts == local.attempts
@@ -1061,6 +1087,28 @@ class TestJobJournal:
             assert status == 400 and "hierarchy" in body["error"]
             assert store.journal_enqueued == 0
             assert store.journal_pending() == 0
+        finally:
+            service.close()
+            store.close()
+
+    def test_wait_true_naming_the_services_own_hierarchy_runs_on_the_worker(
+        self, programs
+    ):
+        """A miss naming the service's own hierarchy is no override either:
+        it joins the supervised worker's waves like a plain request."""
+        store = ResultStore(":memory:")
+        service = SimulationService("arm", store)
+        try:
+            base = service.simulator.hierarchy_config
+            payload = _simulate_payload(programs[1], wait=True)
+            status, named = service.handle_simulate(
+                {**payload, "hierarchy": dataclasses.asdict(base)}
+            )
+            assert status == 200 and service.worker.counters()["jobs"] == 1
+            status, plain = service.handle_simulate(payload)
+            assert status == 200 and plain["cached"]
+            assert named["digest"] == plain["digest"]
+            assert service.worker.counters()["jobs"] == 1
         finally:
             service.close()
             store.close()

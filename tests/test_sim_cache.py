@@ -109,12 +109,6 @@ class TestCacheBehaviour:
         assert cache.accesses == 0
         assert cache.contains(0x40)
 
-    def test_reset_state_flushes(self):
-        cache = make_cache()
-        cache.access(0x40, False)
-        cache.reset_state()
-        assert not cache.contains(0x40)
-
     def test_random_policy_still_bounded(self):
         cache = make_cache(sets=1, assoc=2, policy=ReplacementPolicy.RANDOM)
         for line in range(10):

@@ -29,7 +29,6 @@ from repro.sim import (
     SimulationCache,
     SimulationResult,
     Simulator,
-    SimulatorPool,
     TraceOptions,
     default_simulation_cache,
     hierarchy_with_replacement,
@@ -37,6 +36,7 @@ from repro.sim import (
     victim_rank,
 )
 import repro.sim.engine as engine_module
+import repro.sim.simulator as simulator_module
 
 
 def make_pair(sets, assoc, policy=ReplacementPolicy.LRU, with_memory=True, rng_seed=0):
@@ -81,14 +81,27 @@ class TestEngineSelection:
         assert Cache(config, engine=ENGINE_VECTORIZED).engine == ENGINE_VECTORIZED
         assert Cache(config, engine=ENGINE_REFERENCE).engine == ENGINE_REFERENCE
 
-    def test_config_engine_threaded_to_caches(self):
+    def test_config_engine_threaded_to_caches(self, conv_program_x86, monkeypatch):
         """``RuntimeConfig.engine`` reaches every cache of the hierarchy."""
         assert Simulator("arm").engine == ENGINE_VECTORIZED
+        built = []
+
+        class RecordingHierarchy(simulator_module.CacheHierarchy):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(simulator_module, "CacheHierarchy", RecordingHierarchy)
         for engine in (ENGINE_REFERENCE, ENGINE_VECTORIZED):
-            batch = BatchSimulator("arm", config=RuntimeConfig(engine=engine))
+            batch = BatchSimulator(
+                "x86",
+                trace_options=TraceOptions(max_accesses=1_000),
+                config=RuntimeConfig(engine=engine, memoize=False),
+            )
             assert batch.engine == engine
-            hierarchy = batch._shared_cpu().hierarchy
-            assert {hierarchy.l1d.engine, hierarchy.l1i.engine, hierarchy.l2.engine} == {engine}
+            batch.run_batch([conv_program_x86])
+            hierarchy = built.pop()
+            assert {cache.engine for cache in hierarchy.all_caches().values()} == {engine}
 
     def test_hierarchy_engine_threaded_to_caches(self):
         config = CacheHierarchyConfig(
@@ -293,16 +306,16 @@ class TestRandomReplacement:
             stats.append(vectorized.stats_dict())
         assert stats[0] != stats[1]
 
-    def test_same_seed_is_replayable_after_reset(self):
+    def test_same_seed_is_replayable_on_a_fresh_cache(self):
         rng = np.random.default_rng(2)
         lines = rng.integers(0, 128, size=2000).astype(np.int64)
         writes = rng.random(lines.size) < 0.5
         _, cache = make_pair(8, 2, policy=ReplacementPolicy.RANDOM, rng_seed=5)
         cache.access_lines(lines, writes)
         first = cache.stats_dict()
-        cache.reset_state()  # rewinds the per-set eviction ordinals too
-        cache.access_lines(lines, writes)
-        assert cache.stats_dict() == first
+        _, fresh = make_pair(8, 2, policy=ReplacementPolicy.RANDOM, rng_seed=5)
+        fresh.access_lines(lines, writes)
+        assert fresh.stats_dict() == first
 
     def test_victim_rank_is_deterministic_and_bounded(self):
         seen = set()
@@ -404,9 +417,9 @@ class TestScalarFastPath:
             assert cache.contains(0x103F)
             assert not cache.contains(0x2000)
             assert cache.resident_lines() == 1
-            cache.reset_state()
-            assert cache.resident_lines() == 0
-            assert not cache.contains(0x1000)
+            fresh = Cache(CacheConfig.from_geometry("c", sets=4, associativity=2), engine=engine)
+            assert fresh.resident_lines() == 0
+            assert not fresh.contains(0x1000)
 
 
 class TestMemoization:
@@ -554,18 +567,18 @@ class TestMemoization:
         runs = Simulator("x86", trace_options=options, memo_cache=memo).run(conv_program_x86)
         assert runs.cached
 
-    @pytest.mark.parametrize("backend", SimulatorPool.BACKENDS)
+    @pytest.mark.parametrize("backend", BatchSimulator.BACKENDS)
     def test_pool_memoizes_in_the_caller(self, backend, conv_program_x86, matmul_func):
         """Every backend memoizes through the caller's default cache: a
         repeated batch is served cached and bit-identical, and an
-        unmemoized pool never touches that cache."""
+        unmemoized batch simulator never touches that cache."""
         programs = [conv_program_x86, build_program(matmul_func, Target.x86())]
         # Trace options unique to this case keep its memo keys fresh.
-        offset = SimulatorPool.BACKENDS.index(backend)
+        offset = BatchSimulator.BACKENDS.index(backend)
         options = TraceOptions(max_accesses=4_000 + offset)
-        pool = SimulatorPool("x86", n_parallel=2, trace_options=options, backend=backend)
-        first = pool.run_many(programs)
-        second = pool.run_many(programs)
+        batch = BatchSimulator("x86", trace_options=options, n_parallel=2, backend=backend)
+        first = batch.run_batch(programs)
+        second = batch.run_batch(programs)
         assert not any(result.cached for result in first)
         assert all(result.cached for result in second)
         for cold, warm in zip(first, second):
@@ -577,13 +590,13 @@ class TestMemoization:
 
         memo = default_simulation_cache()
         before = (memo.hits, memo.misses)
-        unmemoized = SimulatorPool(
+        unmemoized = BatchSimulator(
             "x86",
-            n_parallel=2,
             trace_options=TraceOptions(max_accesses=4_100 + offset),
+            n_parallel=2,
             backend=backend,
             config=RuntimeConfig(memoize=False),
-        ).run_many(programs)
+        ).run_batch(programs)
         assert all(isinstance(r, SimulationResult) and not r.cached for r in unmemoized)
         assert (memo.hits, memo.misses) == before
         assert all(memo.get(result.sim_digest) is None for result in unmemoized)

@@ -8,9 +8,9 @@ import pytest
 from repro.sim import (
     CACHE_HIERARCHIES,
     AtomicSimpleCPU,
+    BatchSimulator,
     RuntimeConfig,
     Simulator,
-    SimulatorPool,
     TraceOptions,
     cache_hierarchy_for,
     TABLE1_ROWS,
@@ -60,12 +60,15 @@ class TestHierarchyBehaviour:
         hierarchy.access_data_batch(addresses, np.zeros(32, dtype=bool))
         assert hierarchy.memory.accesses == hierarchy.l3.misses
 
-    def test_reset(self):
-        hierarchy = cache_hierarchy_for("arm")
-        hierarchy.access_data_batch(np.arange(8) * 64, np.zeros(8, dtype=bool))
-        hierarchy.reset_state()
-        assert hierarchy.l1d.accesses == 0
-        assert hierarchy.l1d.resident_lines() == 0
+    def test_fresh_hierarchy_is_cold_and_replays(self):
+        addresses = np.arange(8) * 64
+        used = cache_hierarchy_for("arm")
+        used.access_data_batch(addresses, np.zeros(8, dtype=bool))
+        fresh = cache_hierarchy_for("arm")
+        assert fresh.l1d.accesses == 0
+        assert fresh.l1d.resident_lines() == 0
+        fresh.access_data_batch(addresses, np.zeros(8, dtype=bool))
+        assert fresh.stats_dict() == used.stats_dict()
 
     def test_stats_dict_keys(self):
         stats = cache_hierarchy_for("x86").stats_dict()
@@ -164,34 +167,33 @@ class TestCpuAndSimulator:
             Simulator("sparc")
 
     def test_pool_serial(self, conv_program_x86, conv_program_riscv):
-        pool = SimulatorPool(
-            arch="x86", n_parallel=2, trace_options=TraceOptions(max_accesses=5_000)
+        batch = BatchSimulator(
+            "x86", trace_options=TraceOptions(max_accesses=5_000), n_parallel=2
         )
-        results = pool.run_many([conv_program_x86, conv_program_x86])
+        results = batch.run_batch([conv_program_x86, conv_program_x86])
         assert len(results) == 2
         assert results[0].flat_stats()["cpu.num_insts"] == results[1].flat_stats()["cpu.num_insts"]
 
-    def test_pool_rejects_bad_backend(self, conv_program_x86):
-        pool = SimulatorPool(arch="x86", backend="fibers")
+    def test_pool_rejects_bad_backend(self):
         with pytest.raises(ValueError):
-            pool.run_many([conv_program_x86])
+            BatchSimulator("x86", backend="fibers")
 
     def test_pool_threads_backend(self, conv_program_x86, conv_program_riscv):
-        serial = SimulatorPool(
-            arch="x86",
+        serial = BatchSimulator(
+            "x86",
             trace_options=TraceOptions(max_accesses=5_000),
             config=RuntimeConfig(memoize=False),
         )
-        threaded = SimulatorPool(
-            arch="x86",
+        threaded = BatchSimulator(
+            "x86",
+            trace_options=TraceOptions(max_accesses=5_000),
             n_parallel=2,
             backend="threads",
-            trace_options=TraceOptions(max_accesses=5_000),
             config=RuntimeConfig(memoize=False),
         )
         programs = [conv_program_x86, conv_program_riscv, conv_program_x86]
-        expected = [r.flat_stats() for r in serial.run_many(programs)]
-        observed = [r.flat_stats() for r in threaded.run_many(programs)]
+        expected = [r.flat_stats() for r in serial.run_batch(programs)]
+        observed = [r.flat_stats() for r in threaded.run_batch(programs)]
         for left, right in zip(expected, observed):
             left.pop("sim.host_seconds")
             right.pop("sim.host_seconds")
