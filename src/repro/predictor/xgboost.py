@@ -7,19 +7,26 @@ are the ones the paper tunes by grid search: learning rate, maximum depth,
 number of trees, row/column subsampling, ``alpha``/``lambda`` regularisation
 and the minimum child weight.
 
-The split search is exact and greedy, like XGBoost's ``exact`` tree method,
-and runs as whole-array NumPy passes: each node sorts its rows x sampled
-columns matrix once and scores every cut of every column together.  Trees
-are stored as flat node arrays, and prediction walks all trees at once, one
-gather step per tree level.
+The split search is exact and greedy, like XGBoost's ``exact`` tree method
+(Chen & Guestrin, KDD 2016, Algorithm 1).  Each tree grows in one call to
+the compiled grower of :mod:`repro.sim._native` when that library is
+loaded, and otherwise in whole-array NumPy passes: each node sorts its rows
+x sampled columns matrix once and scores every cut of every column
+together.  The two growers build the same trees bit for bit; the NumPy one
+also grows any tree the kernel declines.  Trees are stored as flat node
+arrays, and prediction walks all trees at once, one gather step per tree
+level.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.sim import _native
 
 
 @dataclass
@@ -66,6 +73,27 @@ class _Trees:
             goes_left = features[rows, self.feature[nodes]] <= self.threshold[nodes]
             nodes = np.where(goes_left, self.left[nodes], self.right[nodes])
         return self.value[nodes]
+
+
+#: The compiled grower's node buffers hold at most this many nodes.  Only a
+#: very large ``max_depth`` allows a tree that needs more; it grows in NumPy.
+_MAX_NATIVE_NODES = 1 << 20
+
+
+def _node_capacity(max_depth: int, n_rows: int) -> int:
+    """The most nodes a tree on ``n_rows`` rows can have.
+
+    An inner node holds two rows or more, so one depth holds at most
+    ``n_rows // 2`` of them, and at most ``2**depth``.  The count is not
+    bounded by ``2 * n_rows - 1``: a midpoint threshold that rounds onto the
+    upper value sends every row left and leaves the right child empty, so
+    two rows can grow a chain as deep as ``max_depth``.
+    """
+    depths = max(max_depth, 0)
+    pairs = n_rows // 2
+    full = min(depths, pairs.bit_length())  # the depths where 2**depth <= pairs
+    inner = 2**full - 1 + (depths - full) * pairs
+    return 2 * inner + 1
 
 
 class _TreeGrower:
@@ -117,7 +145,17 @@ class _TreeGrower:
         hessians: np.ndarray,
         feature_indices: np.ndarray,
     ) -> _Trees:
-        """Grow a tree on these rows that splits only on ``feature_indices``."""
+        """Grow a tree on these rows that splits only on ``feature_indices``.
+
+        The compiled grower grows it when the native library is loaded, and
+        ``_grow`` otherwise or where the kernel declines; the trees are the
+        same bit for bit.
+        """
+        kernel = _native.tree_grower_kernel()
+        if kernel is not None and isinstance(self.max_depth, numbers.Integral):
+            tree = self._grow_native(kernel, features, gradients, hessians, feature_indices)
+            if tree is not None:
+                return tree
         nodes: List[list] = []
         self._grow(features[:, feature_indices], feature_indices, gradients, hessians, 0, nodes)
         feature, threshold, left, right, value, depth = zip(*nodes)
@@ -129,6 +167,64 @@ class _TreeGrower:
             value=np.array(value, dtype=float),
             roots=np.zeros(1, dtype=np.intp),
             depth=max(depth),
+        )
+
+    def _grow_native(
+        self,
+        kernel,
+        features: np.ndarray,
+        gradients: np.ndarray,
+        hessians: np.ndarray,
+        feature_indices: np.ndarray,
+    ) -> Optional[_Trees]:
+        """The tree ``_grow`` builds, in one call to the compiled grower.
+
+        ``None`` where the kernel declines: where ``_grow`` would raise, or
+        for a tree of more than ``_MAX_NATIVE_NODES`` nodes.
+        """
+        n_rows, n_columns = features.shape[0], feature_indices.size
+        if gradients.shape != (n_rows,) or hessians.shape != (n_rows,):
+            raise ValueError(
+                f"grow needs one gradient and one hessian per row: {n_rows} rows, "
+                f"gradients of shape {gradients.shape}, hessians of shape {hessians.shape}"
+            )
+        capacity = min(_node_capacity(int(self.max_depth), n_rows), _MAX_NATIVE_NODES)
+        scratch = np.empty((n_columns + 3) * n_rows + 4 * capacity, dtype=np.int64)
+        feature, left, right = (np.empty(capacity, dtype=np.intp) for _ in range(3))
+        threshold, value = np.empty(capacity), np.empty(capacity)
+        depth = np.empty(1, dtype=np.int64)
+        count = kernel(
+            n_rows,
+            n_columns,
+            np.ascontiguousarray(features[:, feature_indices].T),
+            np.ascontiguousarray(feature_indices, dtype=np.int64),
+            np.ascontiguousarray(gradients, dtype=float),
+            np.ascontiguousarray(hessians, dtype=float),
+            min(max(int(self.max_depth), 0), capacity),  # a deeper node would not fit
+            float(self.min_child_weight),
+            float(self.reg_lambda),
+            float(self.reg_alpha),
+            float(self.gamma),
+            capacity,
+            scratch,
+            scratch.size,
+            feature,
+            threshold,
+            left,
+            right,
+            value,
+            depth,
+        )
+        if count < 0:
+            return None
+        return _Trees(
+            feature=feature[:count],
+            threshold=threshold[:count],
+            left=left[:count],
+            right=right[:count],
+            value=value[:count],
+            roots=np.zeros(1, dtype=np.intp),
+            depth=int(depth[0]),
         )
 
     def _grow(
@@ -284,9 +380,20 @@ class GradientBoostedTrees:
         }
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "GradientBoostedTrees":
-        """Fit the boosted ensemble; returns ``self``."""
+        """Fit the boosted ensemble; returns ``self``.
+
+        ``features`` is a 2-D array with at least one row, and ``targets``
+        holds one value per row.
+        """
         features = np.asarray(features, dtype=float)
-        targets = np.asarray(targets, dtype=float).reshape(-1)
+        targets = np.asarray(targets, dtype=float)
+        if features.ndim != 2 or features.shape[0] == 0 or targets.size != features.shape[0]:
+            raise ValueError(
+                "fit needs a 2-D feature array with at least one row and one target per "
+                f"row, got features of shape {features.shape} and targets of shape "
+                f"{targets.shape}"
+            )
+        targets = targets.reshape(-1)
         rng = np.random.default_rng(self.random_state)
         n_samples, n_features = features.shape
         self.n_features_ = n_features

@@ -1,6 +1,6 @@
-"""Optional compiled kernels for the vectorized cache engine.
+"""Optional compiled kernels for the vectorized cache engine and the boosted trees.
 
-Three entry points are built from one C translation unit, compiled once per
+Four entry points are built from one C translation unit, compiled once per
 interpreter installation with the system compiler and loaded via ctypes:
 
 * ``repro_run_events`` — the per-set event walk on the engine's array tag
@@ -18,19 +18,25 @@ interpreter installation with the system compiler and loaded via ctypes:
   aggregated statistics plus the program-ordered fill/write-back stream for
   the next level.  Scratch buffers are caller-owned and reused across
   batches (``repro_scratch_len`` sizes them).
+* ``repro_grow_tree`` — one regression tree of
+  :class:`~repro.predictor.xgboost.GradientBoostedTrees` per call,
+  bit-identical to ``_TreeGrower._grow``, which stays as the NumPy
+  fallback.  Each fit passes in its own scratch and node buffers.
 
 Availability is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_SIM_NATIVE=0`` is set, every loader returns ``None`` and
-the engine keeps its pure-NumPy paths.  A failed compile is cached for the
-process — the compiler is invoked at most once per interpreter, never per
-call.  The library is cached under a hash of the C source, so a source
-change rebuilds it once.  All implementations are bit-identical; the
-equivalence suites run against whichever is active.
+the engine and the tree grower keep their pure-NumPy paths.  A failed
+compile is cached for the process — the compiler is invoked at most once per
+interpreter, never per call.  The library is cached under a hash of the C
+source and the compiler flags, so a change to either rebuilds it once, and
+a fresh build deletes the libraries of older sources.  All implementations
+are bit-identical; the equivalence suites run against whichever is active.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import subprocess
@@ -51,6 +57,8 @@ from repro.reliability import faults
 BATCH_STATS_SLOTS = 13
 
 _SOURCE = r"""
+#include <errno.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -1316,19 +1324,365 @@ int64_t repro_descriptor_batch(
     stats_out[12] = stamp;
     return fwd;
 }
+
+/* ------------------------------------------------------------------ *
+ * Regression tree grower
+ *
+ * Grows one tree of repro.predictor.xgboost._TreeGrower bit for bit:
+ * XGBoost's exact greedy split finder (Chen & Guestrin, KDD 2016,
+ * Algorithm 1) on the node's rows, depth first, nodes in preorder.  Every
+ * floating-point step is the one the NumPy grower takes, in its order
+ * (the library is built with -ffp-contract=off, so no step is fused):
+ *  - node sums are NumPy's pairwise sum over the node's rows in input
+ *    order, added to 0.0 as np.add.reduce does;
+ *  - each column is visited in stable ascending order with NaN last, and
+ *    its prefix sums start from the first element, as np.cumsum does;
+ *  - per-cut scores square with w * w (NumPy's weights**2), the parent's
+ *    score with libm pow, as CPython's float ** does;
+ *  - the pick is the first column that reaches the largest gain, at the
+ *    first position of np.argmax, which stops at a NaN gain (that column
+ *    then loses), and only a positive gain splits;
+ *  - rows with value <= threshold go left, NaN goes right.
+ * A child keeps its parent's row order, so each column's order of a
+ * child is a stable partition of its parent's: the columns are sorted
+ * once per tree.
+ * ------------------------------------------------------------------ */
+
+/* Read at run time, so the compiler cannot turn pow(w, 2) into w * w. */
+static volatile double repro_gbt_two = 2.0;
+
+/* NumPy's pairwise summation over v[idx[0..n)]: eight accumulators over
+ * blocks of up to 128, longer runs halved at a multiple of 8. */
+static double repro_gbt_pairwise_sum(const double *v, const int64_t *idx, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++) res += v[idx[i]];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = v[idx[j]];
+        int64_t i = 8;
+        for (; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++) r[j] += v[idx[i + j]];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += v[idx[i]];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return repro_gbt_pairwise_sum(v, idx, half)
+        + repro_gbt_pairwise_sum(v, idx + half, n - half);
+}
+
+/* _TreeGrower._leaf_weight; -1 where Python raises ZeroDivisionError. */
+static int repro_gbt_leaf_weight(
+    double grad, double hess, double reg_lambda, double reg_alpha, double *weight)
+{
+    double numerator;
+    if (grad > reg_alpha) numerator = grad - reg_alpha;
+    else if (grad < -reg_alpha) numerator = grad + reg_alpha;
+    else {
+        *weight = 0.0;
+        return 0;
+    }
+    const double denominator = hess + reg_lambda;
+    if (denominator == 0.0) return -1;
+    *weight = -numerator / denominator;
+    return 0;
+}
+
+/* CPython's float w ** 2.0: libm pow on |w|, except that an infinity
+ * squares to infinity; -1 where it raises OverflowError, which is where
+ * CPython's _Py_ADJUST_ERANGE1 finds an infinite result or an errno other
+ * than an underflow to zero. */
+static int repro_gbt_py_square(double w, double *square)
+{
+    if (isinf(w)) {
+        *square = INFINITY;
+        return 0;
+    }
+    errno = 0;
+    const double result = pow(fabs(w), repro_gbt_two);
+    if (errno == 0 ? isinf(result) : !(errno == ERANGE && result == 0.0)) return -1;
+    *square = result;
+    return 0;
+}
+
+/* _TreeGrower._score, the parent's score; -1 where Python raises. */
+static int repro_gbt_node_score(
+    double grad, double hess, double reg_lambda, double reg_alpha, double *score)
+{
+    double weight, square;
+    if (repro_gbt_leaf_weight(grad, hess, reg_lambda, reg_alpha, &weight)) return -1;
+    if (repro_gbt_py_square(weight, &square)) return -1;
+    *score = -(grad * weight + 0.5 * (hess + reg_lambda) * square);
+    return 0;
+}
+
+/* One element of _TreeGrower._score_vector, the score of a cut's side. */
+static double repro_gbt_cut_score(double grad, double hess, double reg_lambda, double reg_alpha)
+{
+    const double numerator = grad > reg_alpha ? grad - reg_alpha
+        : (grad < -reg_alpha ? grad + reg_alpha : 0.0);
+    const double weight = -numerator / (hess + reg_lambda);
+    return -(grad * weight + 0.5 * (hess + reg_lambda) * (weight * weight));
+}
+
+/* np.sort's order: NaN after every number. */
+static int repro_gbt_before(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* Stable sort of idx[0..n) by key[idx[i]]: insertion-sorted runs of 16,
+ * then bottom-up merges through tmp (n slots). */
+static void repro_gbt_sort(int64_t *idx, int64_t *tmp, int64_t n, const double *key)
+{
+    const int64_t run = 16;
+    for (int64_t lo = 0; lo < n; lo += run) {
+        const int64_t hi = lo + run < n ? lo + run : n;
+        for (int64_t i = lo + 1; i < hi; i++) {
+            const int64_t row = idx[i];
+            const double value = key[row];
+            int64_t j = i;
+            while (j > lo && repro_gbt_before(value, key[idx[j - 1]])) {
+                idx[j] = idx[j - 1];
+                j--;
+            }
+            idx[j] = row;
+        }
+    }
+    int64_t *src = idx, *dst = tmp;
+    for (int64_t width = run; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t a = lo, b = mid, out = lo;
+            while (a < mid && b < hi) {
+                if (repro_gbt_before(key[src[b]], key[src[a]])) {
+                    dst[out++] = src[b++];
+                } else {
+                    dst[out++] = src[a++];
+                }
+            }
+            while (a < mid) dst[out++] = src[a++];
+            while (b < hi) dst[out++] = src[b++];
+        }
+        int64_t *swap = src; src = dst; dst = swap;
+    }
+    if (src != idx) memcpy(idx, src, (size_t)n * sizeof(int64_t));
+}
+
+/* Stable partition of seg[0..n): rows with goes_left[row] first. */
+static void repro_gbt_partition(
+    int64_t *seg, int64_t n, const uint8_t *goes_left, int64_t *tmp)
+{
+    int64_t left = 0, right = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t row = seg[i];
+        if (goes_left[row]) seg[left++] = row;
+        else tmp[right++] = row;
+    }
+    memcpy(seg + left, tmp, (size_t)right * sizeof(int64_t));
+}
+
+/* A node still to grow: its rows lo..hi, its depth, and its parent's
+ * index times two plus one for a right child (-1 at the root). */
+static void repro_gbt_push(
+    int64_t *stack, int64_t *top, int64_t lo, int64_t hi, int64_t depth, int64_t link)
+{
+    int64_t *entry = stack + 4 * (*top)++;
+    entry[0] = lo;
+    entry[1] = hi;
+    entry[2] = depth;
+    entry[3] = link;
+}
+
+/* Grow one tree on n_rows rows of the n_cols sampled columns (`columns`
+ * holds one column after another; feature_ids maps a column to its
+ * feature).  Writes up to `capacity` nodes in preorder -- feature (-1 at
+ * a leaf), threshold, left, right (a leaf points at itself) and value --
+ * plus the deepest node's depth, and returns the node count.  Returns -1,
+ * having grown nothing usable, when the scratch is short, when the tree
+ * needs more than `capacity` nodes, or where the NumPy grower would
+ * raise, so the caller can grow the tree there instead.  Scratch:
+ * (n_cols + 3) * n_rows + 4 * capacity int64 words. */
+int64_t repro_grow_tree(
+    int64_t n_rows,
+    int64_t n_cols,
+    const double *columns,
+    const int64_t *feature_ids,
+    const double *gradients,
+    const double *hessians,
+    int64_t max_depth,
+    double min_child_weight,
+    double reg_lambda,
+    double reg_alpha,
+    double gamma,
+    int64_t capacity,
+    int64_t *scratch,
+    int64_t scratch_len,
+    int64_t *out_feature,
+    double *out_threshold,
+    int64_t *out_left,
+    int64_t *out_right,
+    double *out_value,
+    int64_t *out_depth)
+{
+    if (n_rows < 0 || n_cols < 0 || capacity < 1
+            || scratch_len < (n_cols + 3) * n_rows + 4 * capacity) {
+        return -1;
+    }
+    int64_t *order = scratch;                  /* per column: its rows, sorted */
+    int64_t *rows = order + n_cols * n_rows;   /* the rows in input order */
+    int64_t *tmp = rows + n_rows;
+    uint8_t *goes_left = (uint8_t *)(tmp + n_rows);
+    int64_t *stack = tmp + 2 * n_rows;         /* the nodes still to grow */
+
+    for (int64_t r = 0; r < n_rows; r++) rows[r] = r;
+    for (int64_t c = 0; c < n_cols; c++) {
+        int64_t *sorted = order + c * n_rows;
+        memcpy(sorted, rows, (size_t)n_rows * sizeof(int64_t));
+        repro_gbt_sort(sorted, tmp, n_rows, columns + c * n_rows);
+    }
+
+    int64_t count = 0, top = 0, deepest = 0;
+    repro_gbt_push(stack, &top, 0, n_rows, 0, -1);
+    while (top > 0) {
+        top--;
+        const int64_t lo = stack[4 * top], hi = stack[4 * top + 1];
+        const int64_t depth = stack[4 * top + 2], link = stack[4 * top + 3];
+        const int64_t node = count++;
+        if (link >= 0) {
+            if (link & 1) out_right[link >> 1] = node;
+            else out_left[link >> 1] = node;
+        }
+        const int64_t n = hi - lo;
+        const double grad_sum = 0.0 + repro_gbt_pairwise_sum(gradients, rows + lo, n);
+        const double hess_sum = 0.0 + repro_gbt_pairwise_sum(hessians, rows + lo, n);
+        double value;
+        if (repro_gbt_leaf_weight(grad_sum, hess_sum, reg_lambda, reg_alpha, &value)) return -1;
+        out_feature[node] = -1;
+        out_threshold[node] = 0.0;
+        out_left[node] = node;
+        out_right[node] = node;
+        out_value[node] = value;
+        if (depth > deepest) deepest = depth;
+        if (depth >= max_depth || n < 2 || hess_sum < 2.0 * min_child_weight) continue;
+
+        double parent_score;
+        if (repro_gbt_node_score(grad_sum, hess_sum, reg_lambda, reg_alpha, &parent_score)) {
+            return -1;
+        }
+        double best_gain = -INFINITY;
+        int64_t best_col = 0, best_pos = 0;
+        for (int64_t c = 0; c < n_cols; c++) {
+            const int64_t *sorted = order + c * n_rows + lo;
+            const double *key = columns + c * n_rows;
+            double grad_left = 0.0, hess_left = 0.0, col_gain = -INFINITY;
+            int64_t col_pos = 0;
+            for (int64_t p = 0; p + 1 < n; p++) {
+                const int64_t row = sorted[p];
+                if (p == 0) {
+                    grad_left = gradients[row];
+                    hess_left = hessians[row];
+                } else {
+                    grad_left += gradients[row];
+                    hess_left += hessians[row];
+                }
+                const double hess_right = hess_sum - hess_left;
+                double gain = -INFINITY;
+                if (key[sorted[p + 1]] - key[row] > 1e-12
+                        && hess_left >= min_child_weight && hess_right >= min_child_weight) {
+                    gain = repro_gbt_cut_score(grad_left, hess_left, reg_lambda, reg_alpha)
+                        + repro_gbt_cut_score(grad_sum - grad_left, hess_right,
+                                              reg_lambda, reg_alpha)
+                        - parent_score - gamma;
+                }
+                if (p == 0 || !(gain <= col_gain)) {
+                    col_gain = gain;
+                    col_pos = p;
+                    if (gain != gain) break;
+                }
+            }
+            if (col_gain != col_gain) col_gain = -INFINITY;
+            if (c == 0 || col_gain > best_gain) {
+                best_gain = col_gain;
+                best_col = c;
+                best_pos = col_pos;
+            }
+        }
+        if (!(best_gain > 0.0)) continue;
+
+        const double *key = columns + best_col * n_rows;
+        const int64_t *sorted = order + best_col * n_rows + lo;
+        const double threshold = 0.5 * (key[sorted[best_pos]] + key[sorted[best_pos + 1]]);
+        int64_t n_left = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            const int64_t row = rows[i];
+            goes_left[row] = key[row] <= threshold;
+            n_left += goes_left[row];
+        }
+        repro_gbt_partition(rows + lo, n, goes_left, tmp);
+        for (int64_t c = 0; c < n_cols; c++) {
+            repro_gbt_partition(order + c * n_rows + lo, n, goes_left, tmp);
+        }
+        out_feature[node] = feature_ids[best_col];
+        out_threshold[node] = threshold;
+        if (count + top + 2 > capacity) return -1;
+        /* the left child pops first: preorder */
+        repro_gbt_push(stack, &top, lo + n_left, hi, depth + 1, 2 * node + 1);
+        repro_gbt_push(stack, &top, lo, lo + n_left, depth + 1, 2 * node);
+    }
+    *out_depth = deepest;
+    return count;
+}
 """
 
 
+#: The compiler flags.  ``-ffp-contract=off`` keeps ``a * b + c`` two
+#: roundings where the baseline instruction set has fused multiply-add
+#: (aarch64), as NumPy's and CPython's arithmetic is; the tree grower's
+#: bit-identity rests on it.  The command adds ``-lm`` after the source,
+#: for ``pow``.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
 def _library_path() -> str:
-    digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()[:16]
-    tag = f"repro-sim-{digest}-py{sys.version_info[0]}{sys.version_info[1]}"
+    digest = hashlib.sha256(" ".join((*_CFLAGS, _SOURCE)).encode("utf-8")).hexdigest()[:16]
     xdg = os.environ.get("XDG_CACHE_HOME")
     if xdg:
         cache_root = os.path.join(xdg, "repro")
     else:
         uid = os.getuid() if hasattr(os, "getuid") else 0
         cache_root = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
-    return os.path.join(cache_root, f"{tag}.so")
+    return os.path.join(cache_root, f"repro-sim-{digest}-{_python_tag()}.so")
+
+
+def _python_tag() -> str:
+    return f"py{sys.version_info[0]}{sys.version_info[1]}"
+
+
+def _prune_superseded(path: str) -> None:
+    """Delete this Python's libraries of other sources, and their stamps.
+
+    Every source change compiles a new library next to the old ones.  A
+    process still running an old library keeps its mapping: unlinking a
+    loaded library is safe on POSIX.  Libraries of other Python versions
+    are left alone.
+    """
+    for stale in glob.glob(os.path.join(glob.escape(os.path.dirname(path)),
+                                        f"repro-sim-*-{_python_tag()}.so")):
+        if stale == path:
+            continue
+        for name in (stale, stale + ".ok"):
+            try:
+                os.unlink(name)
+            except OSError:
+                pass
 
 
 #: Process-wide compile memo: ``None`` means "not attempted yet"; ``(path,)``
@@ -1357,12 +1711,13 @@ def _compile() -> Optional[str]:
             handle.write(_SOURCE)
             source_path = handle.name
         scratch = source_path + ".so"
-        command = [compiler, "-O2", "-fPIC", "-shared", "-o", scratch, source_path]
+        command = [compiler, *_CFLAGS, "-o", scratch, source_path, "-lm"]
         result = subprocess.run(command, capture_output=True, timeout=60)
         if result.returncode != 0:
             return None
         os.replace(scratch, path)  # atomic: concurrent builders agree on content
         _compile_memo = (path,)
+        _prune_superseded(path)
         return path
     except (OSError, subprocess.SubprocessError):
         return None
@@ -1380,6 +1735,7 @@ _functions: Optional[Dict[str, object]] = None
 def _bind(library: ctypes.CDLL) -> Dict[str, object]:
     pointer = np.ctypeslib.ndpointer
     p64 = pointer(np.int64, flags="C_CONTIGUOUS")
+    p64f = pointer(np.float64, flags="C_CONTIGUOUS")
     pbool = pointer(np.bool_, flags="C_CONTIGUOUS")
 
     run_events = library.repro_run_events
@@ -1426,11 +1782,25 @@ def _bind(library: ctypes.CDLL) -> Dict[str, object]:
     scratch_len.restype = ctypes.c_int64
     scratch_len.argtypes = [ctypes.c_int64, ctypes.c_int64]
 
+    grow_tree = library.repro_grow_tree
+    grow_tree.restype = ctypes.c_int64
+    grow_tree.argtypes = [
+        ctypes.c_int64, ctypes.c_int64,  # rows, sampled columns
+        p64f, p64,  # the sampled columns, one after another; their feature ids
+        p64f, p64f,  # gradients, hessians
+        ctypes.c_int64, ctypes.c_double,  # max depth, min child weight
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,  # lambda, alpha, gamma
+        ctypes.c_int64,  # node capacity
+        p64, ctypes.c_int64,  # scratch, scratch length
+        p64, p64f, p64, p64, p64f, p64,  # out: feature, threshold, left, right, value, depth
+    ]
+
     return {
         "run_events": run_events,
         "chunk_heads": chunk_heads,
         "descriptor_batch": descriptor_batch,
         "scratch_len": scratch_len,
+        "grow_tree": grow_tree,
     }
 
 
@@ -1473,9 +1843,9 @@ def demote(reason: str) -> None:
     """Demote this process to the NumPy fallback paths (with a warning).
 
     Called when a bound kernel misbehaves at runtime; every subsequent
-    ``*_kernel()`` accessor returns ``None``, so the engine's pure-NumPy
-    implementations — bit-identical by construction — take over for the
-    rest of the process.
+    ``*_kernel()`` accessor returns ``None``, so the pure-NumPy
+    implementations of the engine and the tree grower — bit-identical by
+    construction — take over for the rest of the process.
     """
     global _functions
     previously_active = bool(_functions)
@@ -1536,6 +1906,11 @@ def chunk_heads_kernel():
 def descriptor_batch_kernel():
     """The compiled cross-chunk batch driver, or ``None`` when unavailable."""
     return _load().get("descriptor_batch")
+
+
+def tree_grower_kernel():
+    """The compiled regression tree grower, or ``None`` when unavailable."""
+    return _load().get("grow_tree")
 
 
 def scratch_len(cap: int, pos_cap: int) -> Optional[int]:

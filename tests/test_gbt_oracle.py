@@ -14,9 +14,11 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.predictor import GradientBoostedTrees
+from repro.predictor.xgboost import _TreeGrower
+from repro.sim import _native
 
 
 # -- the reference implementation ---------------------------------------------
@@ -280,6 +282,20 @@ def make_features(rng: np.random.Generator, n_rows: int, n_cols: int, kind: str)
         features[:, 1::3] = np.round(features[:, 1::3])
         # Duplicated columns tie on every gain, so the column order decides.
         features[:, 2::3] = features[:, 0:1]
+    elif kind == "signed_zero":
+        # -0.0 == 0.0: a stable sort keeps such rows in row order.
+        features = np.round(features)
+    elif kind == "nan":
+        # NaN sorts last, never passes a cut's spacing test and goes right.
+        features = np.round(features)
+        features[rng.random(features.shape) < 0.2] = np.nan
+    elif kind == "adjacent":
+        # Neighbouring doubles below a power of two: their midpoint rounds
+        # onto the upper one, so every row goes left and the right child is
+        # empty, at every depth.  Two rows grow 2 * max_depth + 1 nodes.
+        below = np.nextafter(16384.0, 0.0)
+        features = np.where(np.arange(n_rows)[:, None] % 2 == 0, below, 16384.0)
+        features = np.repeat(features, n_cols, axis=1)
     return features
 
 
@@ -288,6 +304,7 @@ def make_targets(rng: np.random.Generator, features: np.ndarray, kind: str) -> n
         # Every gradient is zero, so every gain is zero and no split may be made.
         return np.full(features.shape[0], 2.5)
     weights = rng.normal(size=features.shape[1])
+    features = np.nan_to_num(features)
     targets = np.sin(features @ weights) + 0.3 * features[:, 0] ** 2
     targets += 0.1 * rng.normal(size=features.shape[0])
     return np.round(targets, 1) if kind == "rounded" else targets
@@ -300,7 +317,7 @@ def make_targets(rng: np.random.Generator, features: np.ndarray, kind: str) -> n
 @given(
     n_rows=st.integers(3, 200),
     n_cols=st.integers(1, 60),
-    kind=st.sampled_from(["continuous", "rounded", "binary", "mixed"]),
+    kind=st.sampled_from(["continuous", "rounded", "binary", "mixed", "signed_zero", "nan"]),
     target_kind=st.sampled_from(["smooth", "rounded", "constant"]),
     seed=st.integers(0, 2**32 - 1),
     n_estimators=st.integers(1, 60),
@@ -312,6 +329,22 @@ def make_targets(rng: np.random.Generator, features: np.ndarray, kind: str) -> n
     reg_lambda=st.sampled_from([0.1, 1.0]),
     min_child_weight=st.floats(0.0, 3.0),
     gamma=st.sampled_from([0.0, 0.01, 0.2]),
+)
+@example(  # the empty-child chain: 25 nodes per tree on two rows
+    n_rows=2,
+    n_cols=1,
+    kind="adjacent",
+    target_kind="smooth",
+    seed=7,
+    n_estimators=3,
+    max_depth=12,
+    learning_rate=0.3,
+    subsample=1.0,
+    colsample_bytree=1.0,
+    reg_alpha=0.0,
+    reg_lambda=1.0,
+    min_child_weight=1.0,
+    gamma=0.0,
 )
 def test_matches_reference(
     n_rows, n_cols, kind, target_kind, seed, n_estimators, max_depth, **params
@@ -340,13 +373,40 @@ def test_matches_reference_at_predictor_scale(seed):
     assert_matches_reference(features, targets, n_estimators=300, random_state=seed, **params)
 
 
-@pytest.mark.parametrize("n_rows", [16, 64, 128])
-def test_matches_reference_at_cost_model_scale(n_rows):
+@pytest.mark.parametrize(
+    "n_rows, subsample",
+    [pytest.param(n, 0.9, id=str(n)) for n in (16, 64, 128)]
+    # Every row in the root: NumPy's pairwise sum starts its eight-way
+    # blocks at 8 rows and halves runs longer than 128.
+    + [pytest.param(n, 1.0, id=f"{n}-all-rows") for n in (7, 8, 9, 127, 128, 129, 257)],
+)
+def test_matches_reference_at_cost_model_scale(n_rows, subsample):
     """The sketch cost model's shape: 80 trees on 16-128 candidates x 20 features."""
     rng = np.random.default_rng(n_rows)
     features = make_features(rng, n_rows, 20, "mixed")
     targets = make_targets(rng, features, "smooth")
-    params = dict(max_depth=3, learning_rate=0.15, subsample=0.9, random_state=n_rows)
+    params = dict(max_depth=3, learning_rate=0.15, subsample=subsample, random_state=n_rows)
+    assert_matches_reference(features, targets, n_estimators=80, **params)
+
+
+def test_the_compiled_grower_grows_every_tree_when_loaded(monkeypatch):
+    """The cases above check whichever grower runs; here it must be the kernel."""
+    if _native.tree_grower_kernel() is None:
+        pytest.skip("the compiled tree grower is not loaded")
+
+    def numpy_grower(*_args, **_kwargs):
+        raise AssertionError("the NumPy grower grew a tree")
+
+    monkeypatch.setattr(_TreeGrower, "_grow", numpy_grower)
+    rng = np.random.default_rng(5)
+    features = make_features(rng, 2, 1, "adjacent")
+    params = dict(max_depth=12, subsample=1.0, colsample_bytree=1.0, n_estimators=3)
+    assert_matches_reference(features, np.array([0.0, 1.0]), **params)
+    model = GradientBoostedTrees(**params).fit(features, np.array([0.0, 1.0]))
+    assert model._trees.value.size == 3 * 25
+    features = make_features(rng, 128, 20, "nan")
+    targets = make_targets(rng, features, "smooth")
+    params = dict(max_depth=3, learning_rate=0.15, subsample=0.9, random_state=5)
     assert_matches_reference(features, targets, n_estimators=80, **params)
 
 

@@ -234,6 +234,22 @@ class TestGradientBoostedTrees:
         with pytest.raises(ValueError, match=r"5 features.*got shape " + re.escape(str(shape))):
             model.predict(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "features_shape, targets_shape",
+        [
+            ((10, 3), (1,)),  # one target for ten rows
+            ((0, 3), (0,)),  # no rows
+            ((10,), (10,)),  # 1-D features
+            ((10, 3, 2), (10,)),  # 3-D features
+            ((10, 3), (9,)),  # a target short
+        ],
+    )
+    def test_fit_rejects_inconsistent_shapes(self, features_shape, targets_shape):
+        model = GradientBoostedTrees(n_estimators=2)
+        shapes = f"features of shape {features_shape} and targets of shape {targets_shape}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            model.fit(np.zeros(features_shape), np.zeros(targets_shape))
+
     @pytest.mark.parametrize("n_estimators", [0, -1])
     def test_rejects_fewer_than_one_tree(self, n_estimators):
         with pytest.raises(ValueError, match="n_estimators"):

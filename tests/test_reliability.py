@@ -13,6 +13,7 @@ never an unhandled exception, never a poisoned later batch.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from dataclasses import replace
 
@@ -571,6 +572,29 @@ class TestNativeDegradation:
         assert _native.event_kernel() is None
         _native._reset_for_tests()
         assert _native.event_kernel() is not None
+
+    def test_a_fresh_build_prunes_superseded_libraries(self, monkeypatch, tmp_path):
+        if not _native_available():
+            pytest.skip("compiled native kernels unavailable in this environment")
+        cache = tmp_path / "repro"
+        cache.mkdir()
+        version = f"py{sys.version_info[0]}{sys.version_info[1]}"
+        stale = cache / f"repro-sim-0123456789abcdef-{version}.so"
+        other_python = cache / "repro-sim-0123456789abcdef-py27.so"
+        for path in (stale, cache / (stale.name + ".ok"), other_python):
+            path.write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _native._reset_for_tests()
+        try:
+            assert _native.event_kernel() is not None
+            assert _native.tree_grower_kernel() is not None
+            current = os.path.basename(_native._library_path())
+        finally:
+            monkeypatch.undo()
+            _native._reset_for_tests()
+        assert sorted(path.name for path in cache.iterdir()) == sorted(
+            [current, current + ".ok", other_python.name]
+        )
 
 
 # ---------------------------------------------------------------------------
