@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.codegen.isa import InstructionCategory as IC
 from repro.codegen.target import Target
+from repro.reliability import faults
 
 #: Maximum number of points enumerated exactly when computing the fraction of
 #: iterations that satisfy a predicate; larger domains are sampled.
@@ -394,6 +395,13 @@ class DescriptorChunk:
         one partially-kept slab, which recurses one level down — so a trace
         truncated mid-grid keeps its compression.  ``keep == 0`` gives an
         empty chunk; a negative ``keep`` raises :class:`ValueError`.
+
+        With the compiled library of :mod:`repro.sim._native` loaded, the
+        count, the cutoff search and the clip run in one call to its cut
+        kernel (:func:`_native_cut`); otherwise, and for a cut the kernel
+        declines, :class:`_MemberCounter`, :func:`_search_cutoff` and
+        :func:`_clip_batch` run here.  Both cuts return equal chunks, field
+        for field.
         """
         if keep < 0:
             raise ValueError(f"cannot keep a negative number of accesses ({keep})")
@@ -401,6 +409,9 @@ class DescriptorChunk:
             return DescriptorChunk(total=0, pos_bound=0)
         if keep >= self.total:
             return self
+        cut = _native_cut(self, keep)
+        if cut is not None:
+            return cut
         # The cutoff is one past the ``keep``-th smallest member position.
         # Positions are unique, so the analytic member count is a step
         # function and the chunk is never expanded.
@@ -448,20 +459,57 @@ def _outer_slab_span(batch: AccessRunBatch) -> Tuple[int, int]:
 
 def _drop_outer_level(batch: AccessRunBatch, slabs: int) -> AccessRunBatch:
     """The sub-batch at outer-level index ``slabs``, one grid level down."""
+    return _drop_outer_levels(
+        batch,
+        1,
+        int(batch.grid_strides[0]) * slabs,
+        int(batch.grid_pos_strides[0]) * slabs,
+    )
+
+
+def _drop_outer_levels(
+    batch: AccessRunBatch, depth: int, addr_off: int, pos_off: int
+) -> AccessRunBatch:
+    """The sub-batch ``depth`` grid levels down, at these offsets."""
     partial = AccessRunBatch(
-        bases=batch.bases + int(batch.grid_strides[0]) * slabs,
+        bases=batch.bases + addr_off,
         stride=batch.stride,
         pos_stride=batch.pos_stride,
         is_write=batch.is_write,
         counts=batch.counts,
-        first_pos=batch.run_first_pos() + int(batch.grid_pos_strides[0]) * slabs,
+        first_pos=batch.run_first_pos() + pos_off,
         uniform_count=batch.uniform_count,
     )
-    if batch.grid_counts.size > 1:
-        partial.grid_strides = batch.grid_strides[1:]
-        partial.grid_counts = batch.grid_counts[1:]
-        partial.grid_pos_strides = batch.grid_pos_strides[1:]
+    if batch.grid_counts.size > depth:
+        partial.grid_strides = batch.grid_strides[depth:]
+        partial.grid_counts = batch.grid_counts[depth:]
+        partial.grid_pos_strides = batch.grid_pos_strides[depth:]
     return partial
+
+
+def _kept_slabs(batch: AccessRunBatch, full: int) -> AccessRunBatch:
+    """The first ``full`` slabs of a grid batch's outer level, as one batch."""
+    kept = AccessRunBatch(
+        bases=batch.bases,
+        stride=batch.stride,
+        pos_stride=batch.pos_stride,
+        is_write=batch.is_write,
+        counts=batch.counts,
+        first_pos=batch.first_pos,
+        uniform_count=batch.uniform_count,
+        first_pos_start=batch.first_pos_start,
+        first_pos_step=batch.first_pos_step,
+    )
+    if full > 1:
+        kept.grid_strides = batch.grid_strides.copy()
+        kept.grid_counts = batch.grid_counts.copy()
+        kept.grid_pos_strides = batch.grid_pos_strides.copy()
+        kept.grid_counts[0] = full
+    elif batch.grid_counts.size > 1:
+        kept.grid_strides = batch.grid_strides[1:]
+        kept.grid_counts = batch.grid_counts[1:]
+        kept.grid_pos_strides = batch.grid_pos_strides[1:]
+    return kept
 
 
 class _MemberCounter:
@@ -575,30 +623,89 @@ def _clip_batch(batch: AccessRunBatch, cutoff: int) -> List[AccessRunBatch]:
     full = min(max((cutoff - 1 - slab_hi) // outer_pos + 1, 0), outer_count)
     out: List[AccessRunBatch] = []
     if full > 0:
-        kept = AccessRunBatch(
-            bases=batch.bases,
-            stride=batch.stride,
-            pos_stride=batch.pos_stride,
-            is_write=batch.is_write,
-            counts=batch.counts,
-            first_pos=batch.first_pos,
-            uniform_count=batch.uniform_count,
-            first_pos_start=batch.first_pos_start,
-            first_pos_step=batch.first_pos_step,
-        )
-        if full > 1:
-            kept.grid_strides = batch.grid_strides.copy()
-            kept.grid_counts = batch.grid_counts.copy()
-            kept.grid_pos_strides = batch.grid_pos_strides.copy()
-            kept.grid_counts[0] = full
-        elif batch.grid_counts.size > 1:
-            kept.grid_strides = batch.grid_strides[1:]
-            kept.grid_counts = batch.grid_counts[1:]
-            kept.grid_pos_strides = batch.grid_pos_strides[1:]
-        out.append(kept)
+        out.append(_kept_slabs(batch, full))
     if full < outer_count and slab_lo + full * outer_pos < cutoff:
         out.extend(_clip_batch(_drop_outer_level(batch, full), cutoff))
     return out
+
+
+#: int64 columns of a row the compiled cut returns: source batch, grid
+#: depth, new outer count (-1 for a batch of clipped runs), address and
+#: position offsets, clipped-run range.
+_CUT_ROW = 7
+#: int64 scratch the compiled cut keeps per batch, beside 3 per grid level
+#: and the member prefix sums of the stored runs.
+_CUT_INFO = 7
+
+
+def _native_cut(chunk: DescriptorChunk, keep: int) -> Optional[DescriptorChunk]:
+    """``chunk.truncate(keep)`` in one call to the compiled cut kernel.
+
+    The kernel counts, searches and clips exactly as :class:`_MemberCounter`,
+    :func:`_search_cutoff` and :func:`_clip_batch` do, over the chunk's
+    packed rows, and returns one row per output batch; the batches are
+    rebuilt here in :func:`_clip_batch`'s own representation.  ``None``
+    when the library is not loaded, and where the kernel declines (a batch
+    with no runs, a grid deeper than 62 levels, or a count or probe beyond
+    ``int64``).
+    """
+    from repro.sim import _native  # repro.sim imports this module
+
+    kernel = _native.cut_chunk_kernel()
+    if kernel is None:
+        return None
+    if faults.should_inject("native_fault"):
+        # Demote before the call: the cut is pure, so the Python cut
+        # returns the equal chunk.
+        _native.demote("injected fault at site 'native_fault' (trace cut)")
+        return None
+    arena = pack_descriptor_arena([chunk])
+    n_levels = len(arena.grids)
+    levels = np.empty(
+        3 * n_levels + (_CUT_INFO + 1) * len(chunk.batches) + len(arena.bases), dtype=np.int64
+    )
+    rows = np.empty((len(chunk.batches) + n_levels, _CUT_ROW), dtype=np.int64)
+    runs = np.empty((3, keep), dtype=np.int64)
+    cut = np.empty(2, dtype=np.int64)
+    n_rows = kernel(
+        arena.chunk_meta,
+        arena.batch_meta,
+        arena.bases,
+        arena.counts,
+        arena.first_pos,
+        arena.grids,
+        n_levels,
+        keep,
+        levels,
+        rows,
+        len(rows),
+        runs,
+        keep,
+        cut,
+    )
+    if n_rows < 0:
+        return None
+    cutoff, n_runs = cut.tolist()
+    runs = runs[:, :n_runs].copy()  # release the keep-sized buffer
+    batches = []
+    for source, depth, outer, addr_off, pos_off, start, stop in rows[:n_rows].tolist():
+        batch = chunk.batches[source]
+        if outer < 0:
+            batches.append(
+                AccessRunBatch(
+                    bases=runs[0, start:stop],
+                    stride=batch.stride,
+                    pos_stride=batch.pos_stride,
+                    is_write=batch.is_write,
+                    counts=runs[1, start:stop],
+                    first_pos=runs[2, start:stop],
+                )
+            )
+        else:
+            if depth > 0:
+                batch = _drop_outer_levels(batch, depth, addr_off, pos_off)
+            batches.append(_kept_slabs(batch, outer))
+    return DescriptorChunk(total=keep, pos_bound=cutoff, batches=batches)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Optional compiled kernels for the vectorized cache engine and the boosted trees.
+"""Optional compiled kernels for the cache engine, the trace cut and the boosted trees.
 
-Four entry points are built from one C translation unit, compiled once per
+Five entry points are built from one C translation unit, compiled once per
 interpreter installation with the system compiler and loaded via ctypes:
 
 * ``repro_run_events`` — the per-set event walk on the engine's array tag
@@ -16,8 +16,14 @@ interpreter installation with the system compiler and loaded via ctypes:
   pipeline, the LRU stack-distance pre-resolution and the event walk for a
   whole arena of chunks in **one foreign call per cache level**, emitting
   aggregated statistics plus the program-ordered fill/write-back stream for
-  the next level.  Scratch buffers are caller-owned and reused across
-  batches (``repro_scratch_len`` sizes them).
+  the next level, which walks that stream as a one-chunk arena in one more
+  call.  Scratch buffers are caller-owned and reused across batches
+  (``repro_scratch_len`` sizes them).
+* ``repro_cut_chunk`` — the ``max_accesses`` cut of one packed chunk:
+  :meth:`~repro.codegen.program.DescriptorChunk.truncate`'s member count,
+  cutoff search and grid-keeping clip in one call, bit-identical to the
+  Python ``_MemberCounter``/``_search_cutoff``/``_clip_batch``, which stay
+  as the fallback.  Each cut passes in its own outputs.
 * ``repro_grow_tree`` — one regression tree of
   :class:`~repro.predictor.xgboost.GradientBoostedTrees` per call,
   bit-identical to ``_TreeGrower._grow``, which stays as the NumPy
@@ -25,7 +31,8 @@ interpreter installation with the system compiler and loaded via ctypes:
 
 Availability is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_SIM_NATIVE=0`` is set, every loader returns ``None`` and
-the engine and the tree grower keep their pure-NumPy paths.  A failed
+the engine, the trace cut and the tree grower keep their Python and NumPy
+paths.  A failed
 compile is cached for the process — the compiler is invoked at most once per
 interpreter, never per call.  The library is cached under a hash of the C
 source and the compiler flags, so a change to either rebuilds it once, and
@@ -1326,6 +1333,341 @@ int64_t repro_descriptor_batch(
 }
 
 /* ------------------------------------------------------------------ *
+ * Trace cut: the first `keep` accesses of one packed chunk, still as run
+ * batches -- repro.codegen.program.DescriptorChunk.truncate in one call:
+ * _MemberCounter's per-batch levels, _search_cutoff's probe sequence and
+ * _clip_batch's output.
+ *
+ * Each batch is prepared once along the descent _clip_batch takes.  Grid
+ * level d keeps, in levels[3 * row], the position span [lo, hi] of one
+ * slab relative to the slab's start (the stored runs' first and last
+ * positions, each widened by the steps of the levels inside d, added by
+ * their sign) and its members per slab.  The first level whose position
+ * stride does not exceed its span interleaves: the count and the clip
+ * walk it and every level inside it with the grid odometer, run by run,
+ * as _clip_batch clips the degridded runs.  A batch's info row holds the
+ * number of levels above that walk, the stored runs' own span and
+ * members, whether their first positions ascend, the longest run's span
+ * and the offset of the runs' member prefix sums in the scratch.  With
+ * those a count settles a whole grid point, or every run of it but the
+ * few whose members straddle the probe, without a division.  Divisions
+ * are Python floor divisions.
+ * ------------------------------------------------------------------ */
+#define REPRO_CUT_INFO 7
+
+static int64_t repro_cut_prepare(
+    const int64_t *cm,
+    const int64_t *batch_meta,
+    const int64_t *counts,
+    const int64_t *first_pos,
+    const int64_t *grids,
+    int64_t *levels,
+    int64_t *info,
+    int64_t *prefix)
+{
+    int64_t chunk_members = 0;
+    int64_t at = 0;
+    for (int64_t b = cm[2]; b < cm[3]; b++) {
+        const int64_t *bm = batch_meta + b * 7;
+        const int64_t pos_stride = bm[2];
+        const int64_t r0 = bm[3], r1 = bm[4], g0 = bm[5], g1 = bm[6];
+        if (r1 <= r0 || pos_stride == 0) return -1;
+        if (g1 - g0 > 62) return -2;
+        int64_t lo = first_pos[r0];
+        int64_t hi = first_pos[r0] + (counts[r0] - 1) * pos_stride;
+        int64_t members = 0, span = 0, ascending = 1;
+        int64_t *sums = prefix + at;
+        for (int64_t r = r0; r < r1; r++) {
+            const int64_t run_span = (counts[r] - 1) * pos_stride;
+            const int64_t last = first_pos[r] + run_span;
+            if (first_pos[r] < lo) lo = first_pos[r];
+            if (last > hi) hi = last;
+            if (run_span > span) span = run_span;
+            if (r > r0 && first_pos[r] < first_pos[r - 1]) ascending = 0;
+            sums[r - r0] = members;
+            if (counts[r] > INT64_MAX - members) return -3;
+            members += counts[r];
+        }
+        sums[r1 - r0] = members;
+        int64_t *row = info + REPRO_CUT_INFO * (b - cm[2]);
+        row[1] = lo;
+        row[2] = hi;
+        row[3] = members;
+        row[4] = ascending;
+        row[5] = span;
+        row[6] = at;
+        at += r1 - r0 + 1;
+        /* innermost level first: members and span of one slab of level g */
+        for (int64_t g = g1 - 1; g >= g0; g--) {
+            const int64_t count = grids[g * 3 + 1];
+            if (count < 1 || grids[g * 3 + 2] == 0) return -1;
+            levels[g * 3] = lo;
+            levels[g * 3 + 1] = hi;
+            levels[g * 3 + 2] = members;
+            if (members > INT64_MAX / count) return -3;
+            members *= count;
+            const int64_t step = (count - 1) * grids[g * 3 + 2];
+            if (step < 0) lo += step;
+            else hi += step;
+        }
+        if (members > INT64_MAX - chunk_members) return -3;
+        chunk_members += members;
+        int64_t d = 0;
+        while (d < g1 - g0
+               && grids[(g0 + d) * 3 + 2] > levels[(g0 + d) * 3 + 1] - levels[(g0 + d) * 3])
+            d++;
+        row[0] = d;
+    }
+    return 0;
+}
+
+/* Slabs of grid level g fully below `below` (a position relative to the
+ * level's first slab), clamped to the level's count. */
+static int64_t repro_cut_full(const int64_t *grids, const int64_t *levels, int64_t g,
+                              int64_t below)
+{
+    int64_t full = repro_fdiv(below - 1 - levels[g * 3 + 1], grids[g * 3 + 2]) + 1;
+    if (full < 0) full = 0;
+    if (full > grids[g * 3 + 1]) full = grids[g * 3 + 1];
+    return full;
+}
+
+/* Members of run r below `below`, its first member at position `first`:
+ * _clip_runs' np.clip(-((first - below) // pos_stride), 0, count). */
+static int64_t repro_cut_run(int64_t first, int64_t count, int64_t pos_stride, int64_t below)
+{
+    if (pos_stride > 0) {
+        if (first >= below) return 0;
+        if (first + (count - 1) * pos_stride < below) return count;
+        return (below - first + pos_stride - 1) / pos_stride;
+    }
+    const int64_t kept = -repro_fdiv(first - below, pos_stride);
+    return kept < 0 ? 0 : kept > count ? count : kept;
+}
+
+/* First index in [lo, hi) of the ascending first_pos at or above `value`. */
+static int64_t repro_cut_search(const int64_t *first_pos, int64_t lo, int64_t hi,
+                                int64_t value)
+{
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (first_pos[mid] < value) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+/* Members of one grid point's stored runs below `below`, the grid point's
+ * position offset being `opos`. */
+static int64_t repro_cut_point(
+    const int64_t *bm,
+    const int64_t *row,
+    const int64_t *counts,
+    const int64_t *first_pos,
+    const int64_t *prefix,
+    int64_t opos,
+    int64_t below)
+{
+    const int64_t pos_stride = bm[2], r0 = bm[3], r1 = bm[4];
+    int64_t counted = 0;
+    if (pos_stride > 0) {
+        if (row[2] + opos < below) return row[3];
+        if (row[1] + opos >= below) return 0;
+        if (row[4]) {
+            /* runs from `stop` on start at or past the probe; runs before
+             * `start` end more than one run span before it */
+            const int64_t stop = repro_cut_search(first_pos, r0, r1, below - opos);
+            const int64_t start = repro_cut_search(first_pos, r0, stop, below - opos - row[5]);
+            counted = prefix[row[6] + start - r0];
+            for (int64_t r = start; r < stop; r++)
+                counted += repro_cut_run(first_pos[r] + opos, counts[r], pos_stride, below);
+            return counted;
+        }
+    }
+    for (int64_t r = r0; r < r1; r++)
+        counted += repro_cut_run(first_pos[r] + opos, counts[r], pos_stride, below);
+    return counted;
+}
+
+/* Members of the chunk below `cutoff`: _MemberCounter.__call__. */
+static int64_t repro_cut_count(
+    const int64_t *cm,
+    const int64_t *batch_meta,
+    const int64_t *counts,
+    const int64_t *first_pos,
+    const int64_t *grids,
+    const int64_t *levels,
+    const int64_t *info,
+    const int64_t *prefix,
+    int64_t cutoff)
+{
+    int64_t counted = 0;
+    for (int64_t b = cm[2]; b < cm[3]; b++) {
+        const int64_t *bm = batch_meta + b * 7;
+        const int64_t *row = info + REPRO_CUT_INFO * (b - cm[2]);
+        const int64_t g0 = bm[5], deep = row[0];
+        int64_t below = cutoff;
+        int64_t d = 0;
+        for (; d < deep; d++) {
+            const int64_t g = g0 + d;
+            const int64_t full = repro_cut_full(grids, levels, g, below);
+            counted += full * levels[g * 3 + 2];
+            if (full == grids[g * 3 + 1]
+                || levels[g * 3] + full * grids[g * 3 + 2] >= below)
+                break;  /* no partially-kept slab, so nothing deeper counts */
+            below -= full * grids[g * 3 + 2];
+        }
+        if (d < deep) continue;
+        const int64_t walked = bm[6] - g0 - deep;
+        int64_t digit[64];
+        for (int64_t l = 0; l < walked; l++) digit[l] = 0;
+        int64_t oaddr = 0, opos = 0;
+        for (;;) {
+            counted += repro_cut_point(bm, row, counts, first_pos, prefix, opos, below);
+            if (walked == 0
+                || !repro_grid_advance(digit, grids, g0 + deep, walked, &oaddr, &opos))
+                break;
+        }
+    }
+    return counted;
+}
+
+/* rows_out[k] = (source batch, depth, new outer count or -1 for a batch of
+ * clipped runs, address offset, position offset, run start, run end), in
+ * _clip_batch's order.  Clipped runs go to runs_out, three rows of
+ * run_cap (bases, counts, first positions), ordered by grid point, then
+ * stored run; cut_out = (cutoff, clipped runs).  Returns the row count, or
+ * a negative value where the cut is declined: -1 for a batch with no runs
+ * or a zero position stride, or a grid level that is empty or has a zero
+ * position stride; -2 for a grid deeper than 62 levels; -3 where a count
+ * or a probe would leave int64; -4 where the outputs would not fit.
+ * `levels` holds 3 int64 per grid row, REPRO_CUT_INFO per batch, and one
+ * more than its stored runs per batch. */
+int64_t repro_cut_chunk(
+    const int64_t *chunk_meta,
+    const int64_t *batch_meta,
+    const int64_t *bases,
+    const int64_t *counts,
+    const int64_t *first_pos,
+    const int64_t *grids,
+    int64_t n_grid_rows,
+    int64_t keep,
+    int64_t *levels,
+    int64_t *rows_out,
+    int64_t row_cap,
+    int64_t *runs_out,
+    int64_t run_cap,
+    int64_t *cut_out)
+{
+    const int64_t *cm = chunk_meta;
+    int64_t *info = levels + 3 * n_grid_rows;
+    int64_t *prefix = info + REPRO_CUT_INFO * (cm[3] - cm[2]);
+    const int64_t err = repro_cut_prepare(cm, batch_meta, counts, first_pos, grids,
+                                          levels, info, prefix);
+    if (err < 0) return err;
+
+    /* _search_cutoff: interpolating probes, a bisection step after any
+     * probe that fails to halve the bracket */
+    int64_t low = 0, high = cm[1] > 1 ? cm[1] : 1;
+    int64_t below_low = 0, below_high = cm[0];
+    int bisect_next = 0;
+    while (low + 1 < high) {
+        const int64_t width = high - low;
+        int64_t probe;
+        if (bisect_next) {
+            probe = low + width / 2;
+        } else {
+            const int64_t wanted = keep - below_low;
+            if (wanted > 0 && width > INT64_MAX / wanted) return -3;
+            probe = low + repro_fdiv(wanted * width, below_high - below_low);
+            if (probe < low + 1) probe = low + 1;
+            if (probe > high - 1) probe = high - 1;
+        }
+        const int64_t counted = repro_cut_count(
+            cm, batch_meta, counts, first_pos, grids, levels, info, prefix, probe);
+        if (counted >= keep) {
+            high = probe;
+            below_high = counted;
+        } else {
+            low = probe;
+            below_low = counted;
+        }
+        bisect_next = !bisect_next && 2 * (high - low) > width;
+    }
+    const int64_t cutoff = high;
+
+    /* _clip_batch at the cutoff */
+    int64_t *run_bases = runs_out, *run_counts = runs_out + run_cap;
+    int64_t *run_first = runs_out + 2 * run_cap;
+    int64_t n_rows = 0, n_runs = 0;
+    for (int64_t b = cm[2]; b < cm[3]; b++) {
+        const int64_t *bm = batch_meta + b * 7;
+        const int64_t *info_row = info + REPRO_CUT_INFO * (b - cm[2]);
+        const int64_t g0 = bm[5], deep = info_row[0];
+        int64_t below = cutoff, addr_off = 0, pos_off = 0;
+        int64_t d = 0;
+        for (; d < deep; d++) {
+            const int64_t g = g0 + d;
+            const int64_t full = repro_cut_full(grids, levels, g, below);
+            if (full > 0) {
+                if (n_rows >= row_cap) return -4;
+                int64_t *row = rows_out + 7 * n_rows++;
+                row[0] = b - cm[2];
+                row[1] = d;
+                row[2] = full;
+                row[3] = addr_off;
+                row[4] = pos_off;
+                row[5] = row[6] = 0;
+            }
+            if (full == grids[g * 3 + 1]
+                || levels[g * 3] + full * grids[g * 3 + 2] >= below)
+                break;
+            below -= full * grids[g * 3 + 2];
+            addr_off += full * grids[g * 3];
+            pos_off += full * grids[g * 3 + 2];
+        }
+        if (d < deep) continue;
+        const int64_t pos_stride = bm[2];
+        const int64_t walked = bm[6] - g0 - deep;
+        const int64_t start = n_runs;
+        int64_t digit[64];
+        for (int64_t l = 0; l < walked; l++) digit[l] = 0;
+        int64_t oaddr = 0, opos = 0;
+        for (;;) {
+            if (pos_stride < 0 || info_row[1] + opos < below) {
+                for (int64_t r = bm[3]; r < bm[4]; r++) {
+                    const int64_t kept =
+                        repro_cut_run(first_pos[r] + opos, counts[r], pos_stride, below);
+                    if (kept == 0) continue;
+                    if (n_runs >= run_cap) return -4;
+                    run_bases[n_runs] = bases[r] + oaddr + addr_off;
+                    run_counts[n_runs] = kept;
+                    run_first[n_runs] = first_pos[r] + opos + pos_off;
+                    n_runs++;
+                }
+            }
+            if (walked == 0
+                || !repro_grid_advance(digit, grids, g0 + deep, walked, &oaddr, &opos))
+                break;
+        }
+        if (n_runs > start) {
+            if (n_rows >= row_cap) return -4;
+            int64_t *row = rows_out + 7 * n_rows++;
+            row[0] = b - cm[2];
+            row[1] = deep;
+            row[2] = -1;
+            row[3] = addr_off;
+            row[4] = pos_off;
+            row[5] = start;
+            row[6] = n_runs;
+        }
+    }
+    cut_out[0] = cutoff;
+    cut_out[1] = n_runs;
+    return n_rows;
+}
+
+/* ------------------------------------------------------------------ *
  * Regression tree grower
  *
  * Grows one tree of repro.predictor.xgboost._TreeGrower bit for bit:
@@ -1795,12 +2137,24 @@ def _bind(library: ctypes.CDLL) -> Dict[str, object]:
         p64, p64f, p64, p64, p64f, p64,  # out: feature, threshold, left, right, value, depth
     ]
 
+    cut_chunk = library.repro_cut_chunk
+    cut_chunk.restype = ctypes.c_int64
+    cut_chunk.argtypes = [
+        p64, p64, p64, p64, p64, p64,  # chunk_meta, batch_meta, bases, counts, first_pos, grids
+        ctypes.c_int64, ctypes.c_int64,  # grid rows, keep
+        p64,  # level scratch
+        p64, ctypes.c_int64,  # out: rows, row capacity
+        p64, ctypes.c_int64,  # out: clipped runs, run capacity
+        p64,  # out: cutoff, clipped run count
+    ]
+
     return {
         "run_events": run_events,
         "chunk_heads": chunk_heads,
         "descriptor_batch": descriptor_batch,
         "scratch_len": scratch_len,
         "grow_tree": grow_tree,
+        "cut_chunk": cut_chunk,
     }
 
 
@@ -1843,9 +2197,9 @@ def demote(reason: str) -> None:
     """Demote this process to the NumPy fallback paths (with a warning).
 
     Called when a bound kernel misbehaves at runtime; every subsequent
-    ``*_kernel()`` accessor returns ``None``, so the pure-NumPy
-    implementations of the engine and the tree grower — bit-identical by
-    construction — take over for the rest of the process.
+    ``*_kernel()`` accessor returns ``None``, so the Python and NumPy
+    implementations of the engine, the trace cut and the tree grower —
+    bit-identical by construction — take over for the rest of the process.
     """
     global _functions
     previously_active = bool(_functions)
@@ -1911,6 +2265,11 @@ def descriptor_batch_kernel():
 def tree_grower_kernel():
     """The compiled regression tree grower, or ``None`` when unavailable."""
     return _load().get("grow_tree")
+
+
+def cut_chunk_kernel():
+    """The compiled trace cut, or ``None`` when unavailable."""
+    return _load().get("cut_chunk")
 
 
 def scratch_len(cap: int, pos_cap: int) -> Optional[int]:

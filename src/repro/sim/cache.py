@@ -35,7 +35,13 @@ The engine is selected per cache via the ``engine`` constructor argument
 Every access route is a batch: a single :meth:`Cache.access` is a batch of
 one through :meth:`Cache.access_lines`, the vectorized engine adds the
 descriptor-chunk and packed-arena routes, and each level hands its misses
-to the next one as one forwarded batch.
+to the next one as one forwarded batch.  How the misses travel follows the
+route the level ran (:meth:`Cache._forward`): a batch the compiled driver
+walked reaches the next cache level as a one-chunk arena, so every level
+below walks in the compiled driver too; a batch the NumPy pipeline or the
+reference loop walked reaches it as line addresses through
+:meth:`Cache.access_lines`, so the NumPy and reference routes stay NumPy
+and reference at every level.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from repro.sim.policies import (
     get_policy,
 )
 
-from repro.codegen.program import pack_descriptor_arena
+from repro.codegen.program import AccessRunBatch, DescriptorChunk, pack_descriptor_arena
 
 
 @dataclass(frozen=True)
@@ -323,10 +329,12 @@ class Cache:
         pipeline, stack-distance pre-resolution and event walk for every
         chunk — runs as **one** foreign call against this level's tag
         store, and the aggregated fill/write-back stream is handed to the
-        next level in one batch (statistics are chunking-invariant, so the
-        coarser forwarding granularity cannot change results).  Without the
-        kernel, the arena's chunks are replayed through the bit-identical
-        per-chunk path.
+        next cache level as a one-chunk arena of its own, which that level
+        walks through this method in one more call (statistics are
+        chunking-invariant, so the coarser forwarding granularity cannot
+        change results).  Without the kernel, the arena's chunks are
+        replayed through the bit-identical per-chunk path, which forwards
+        its misses as line addresses.
         """
         outcome = None
         if self._state is not None:
@@ -340,7 +348,7 @@ class Cache:
             return hits
         self._apply_outcome(outcome)
         if outcome.forwarded_lines is not None:
-            self._forward(outcome.forwarded_lines, outcome.forwarded_writes)
+            self._forward(outcome.forwarded_lines, outcome.forwarded_writes, as_arena=True)
         return outcome.hits
 
     def _apply_outcome(self, outcome: ChunkOutcome) -> None:
@@ -456,11 +464,23 @@ class Cache:
         return hits
 
     # -- forwarding ---------------------------------------------------------
-    def _forward(self, lines: np.ndarray, is_write: np.ndarray) -> None:
-        """Hand the fill/write-back stream of one chunk to the next level."""
+    def _forward(self, lines: np.ndarray, is_write: np.ndarray, as_arena: bool = False) -> None:
+        """Hand the fill/write-back stream of one batch to the next level.
+
+        ``as_arena`` marks a stream the compiled driver produced: a next
+        cache level receives it as a one-chunk arena through its
+        :meth:`access_descriptor_arena`, so it walks in the compiled driver
+        as well (see :func:`_miss_chunk`).  Every other stream — from the
+        NumPy pipeline or the reference loop — goes down as line addresses
+        through :meth:`access_lines`, or as byte addresses when the line
+        sizes differ.  Main memory only counts requests.
+        """
         if self.next_level is None:
             return
-        if self._forward_lines_directly:
+        if as_arena and isinstance(self.next_level, Cache):
+            chunk = _miss_chunk(lines, is_write, self._offset_bits)
+            self.next_level.access_descriptor_arena(pack_descriptor_arena([chunk]))
+        elif self._forward_lines_directly:
             # Same line size below: line addresses are identical, skip the
             # byte-address round trip.
             self.next_level.access_lines(lines, is_write)
@@ -487,3 +507,29 @@ class Cache:
             f"Cache({cfg.name}, {cfg.size_bytes // 1024}K, {cfg.sets} sets, "
             f"{cfg.associativity}-way, engine={self.engine})"
         )
+
+
+def _miss_chunk(lines: np.ndarray, is_write: np.ndarray, offset_bits: int) -> DescriptorChunk:
+    """A forwarded fill/write-back stream as one descriptor chunk.
+
+    Two batches of count-1 runs — the fills (reads) and the write-backs
+    (writes) — at byte addresses ``line << offset_bits``, so a next level
+    with another line size derives its own lines.  Each access's trace
+    position is its index in the stream, so the chunk replays the stream
+    in order.
+    """
+    batches = []
+    for writes in (False, True):
+        positions = np.flatnonzero(is_write) if writes else np.flatnonzero(~is_write)
+        if positions.size:
+            batches.append(
+                AccessRunBatch(
+                    bases=lines[positions] << offset_bits,
+                    stride=0,
+                    pos_stride=1,
+                    is_write=writes,
+                    first_pos=positions,
+                    uniform_count=1,
+                )
+            )
+    return DescriptorChunk(total=int(lines.size), pos_bound=int(lines.size), batches=batches)

@@ -104,8 +104,10 @@ estimate is poor, member expansion plus maximal collapse), the LRU
 stack-distance pre-resolution, the event walk and the statistics /
 forwarded-stream construction for every chunk of the group
 (:meth:`VectorCacheState.process_descriptor_arena`).  The combined miss
-stream reaches the next level as one batch; statistics are
-chunking-invariant, so the coarser granularity never changes results.
+stream reaches the next cache level as a one-chunk arena of count-1 runs,
+which that level walks in one more call of the same driver, so L2 and L3
+never enter the NumPy pipeline; statistics are chunking-invariant, so the
+coarser granularity never changes results.
 :func:`chunk_heads` stays the bit-identity oracle (and the
 ``REPRO_SIM_NATIVE=0`` fallback, which dispatches per chunk).  Kernel scratch is pooled per thread
 (:class:`_ArenaScratch`), so short-lived hierarchies reuse warm pages.

@@ -106,9 +106,12 @@ class CacheHierarchy:
     def access_data_descriptors(self, chunk) -> int:
         """One descriptor chunk through the data path; returns L1D hits.
 
-        Misses propagate to the lower levels as materialised line batches
-        exactly like :meth:`access_data_batch` — only the L1D front-end
-        consumes descriptors.
+        The per-chunk route: the L1D walks the chunk in the NumPy pipeline
+        (or the reference loop), and its misses propagate to the lower
+        levels as line batches through :meth:`Cache.access_lines`, exactly
+        like :meth:`access_data_batch` — only the L1D front-end consumes
+        descriptors.  :meth:`access_data_descriptor_stream` is the route
+        that walks every level in the compiled driver.
         """
         return self.l1d.access_descriptors(chunk)
 
@@ -116,8 +119,10 @@ class CacheHierarchy:
         """A stream of descriptor chunks through the data path; L1D hits.
 
         Chunks are grouped into packed arenas on the fly (see
-        :meth:`Cache.access_descriptor_stream`); per-chunk dispatch is the
-        automatic, bit-identical fallback.
+        :meth:`Cache.access_descriptor_stream`), and with the compiled
+        library loaded each level's misses reach the next level as an arena
+        too, so L1D, L2 and L3 all walk in the compiled driver; per-chunk
+        dispatch is the automatic, bit-identical fallback.
         """
         return self.l1d.access_descriptor_stream(chunks)
 

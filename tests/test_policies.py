@@ -41,6 +41,7 @@ from repro.sim import (
     hierarchy_with_replacement,
     policy_wire_id,
 )
+from repro.sim.engine import SCALAR_CHUNK_CUTOFF
 from repro.sim.policies import (
     RRIP_HIT,
     RRIP_INSERT,
@@ -266,6 +267,15 @@ class TestEngineEquivalence:
 
 
 class TestHierarchyEquivalence:
+    """Whole hierarchies, L1D → L2 → L3, on every registry policy.
+
+    With the compiled library loaded, the stream route walks every level in
+    the batch driver (each level's misses reach the next as a one-chunk
+    arena), while the per-chunk route walks L1D per chunk and hands its
+    misses to the NumPy pipeline below; without it both are NumPy.  The
+    reference engine is the oracle of the full simulator runs.
+    """
+
     @staticmethod
     def _tiny(policy):
         return CacheHierarchyConfig(
@@ -273,15 +283,18 @@ class TestHierarchyEquivalence:
             l1d=CacheLevelConfig(4 * 64 * 2, 4, 2, replacement=policy),
             l1i=CacheLevelConfig(4 * 64 * 3, 4, 3, replacement=policy),
             l2=CacheLevelConfig(8 * 64 * 2, 8, 2, replacement=policy),
+            l3=CacheLevelConfig(16 * 64 * 2, 16, 2, replacement=policy),
         )
 
-    @pytest.mark.parametrize("policy", NEW_POLICIES)
-    def test_stream_matches_per_chunk(self, conv_program_x86, policy):
+    # The short stream stays below the scalar cutoff at every level.
+    @pytest.mark.parametrize("max_accesses", [20_000, SCALAR_CHUNK_CUTOFF - 1])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_stream_matches_per_chunk(self, conv_program_x86, policy, max_accesses):
         """Arena stream dispatch vs per-chunk dispatch, assoc-3 L1I included."""
         config = self._tiny(policy)
         chunks = list(
             conv_program_x86.memory_trace_descriptors(
-                chunk_iterations=512, max_accesses=20_000
+                chunk_iterations=512, max_accesses=max_accesses
             )
         )
         streamed = CacheHierarchy(config, engine=ENGINE_VECTORIZED)
@@ -289,9 +302,16 @@ class TestHierarchyEquivalence:
         per_chunk = CacheHierarchy(config, engine=ENGINE_VECTORIZED)
         for chunk in chunks:
             per_chunk.access_data_descriptors(chunk)
-        assert streamed.stats_dict() == per_chunk.stats_dict()
+        stats = streamed.stats_dict()
+        assert stats == per_chunk.stats_dict()
+        assert stats["l3"]["read_accesses"] > 0
+        if max_accesses > SCALAR_CHUNK_CUTOFF:
+            # L1D and L2 write-backs reached the level below, so the
+            # forwarded arenas carried write-back batches.
+            assert stats["l2"]["write_accesses"] > 0
+            assert stats["l3"]["write_accesses"] > 0
 
-    @pytest.mark.parametrize("policy", NEW_POLICIES)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_simulator_engines_agree(self, conv_program_x86, policy):
         """Full simulator runs: vectorized == reference, with real evictions."""
         from repro.sim import RuntimeConfig

@@ -553,6 +553,26 @@ class TestNativeDegradation:
         # The demotion is process-wide and sticky until reset.
         assert _native.event_kernel() is None
 
+    def test_injected_fault_at_the_cut_returns_the_native_cut(self, restore_native):
+        if _native.cut_chunk_kernel() is None:
+            pytest.skip("compiled native kernels unavailable in this environment")
+        from tests.conftest import make_conv_func
+        from tests.test_truncate_oracle import assert_chunks_equal
+        from repro.codegen import build_program
+        from repro.workloads.resnet import scaled_group_params
+
+        program = build_program(
+            make_conv_func(scaled_group_params(3))[0], Target.from_name("arm")
+        )
+        chunk = next(iter(program.memory_trace_descriptors()))
+        keep = chunk.total // 2
+        native = chunk.truncate(keep)
+        faults.configure("native_fault:once")
+        with pytest.warns(NativeKernelDemotionWarning, match="trace cut"):
+            demoted = chunk.truncate(keep)
+        assert_chunks_equal(demoted, native)
+        assert _native.cut_chunk_kernel() is None
+
     def test_probe_failure_falls_back_to_numpy(self, programs, restore_native):
         if not _native_available():
             pytest.skip("compiled native kernels unavailable in this environment")

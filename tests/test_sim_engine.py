@@ -687,6 +687,26 @@ class TestArenaBatching:
         )
         assert batched == per_chunk == reference
 
+    def test_native_run_walks_no_level_in_numpy(self, conv_func, monkeypatch):
+        """With the library loaded, L1D, L2 and L3 all walk in the compiled
+        driver: the miss stream never reaches the NumPy pipeline."""
+        if not engine_module.arena_batching_available():
+            pytest.skip("compiled native kernels unavailable in this environment")
+        ran = []
+        for name in ("process_chunk", "process_heads"):
+            original = getattr(engine_module.VectorCacheState, name)
+
+            def spy(state, *args, _name=name, _original=original):
+                ran.append(_name)
+                return _original(state, *args)
+
+            monkeypatch.setattr(engine_module.VectorCacheState, name, spy)
+        program = build_program(conv_func, Target.x86())
+        hierarchy = Simulator("x86").hierarchy_config
+        stats = self._simulated(program, hierarchy, TraceOptions(max_accesses=30_000))
+        assert ran == []
+        assert stats["l3.read_accesses"] > 0  # the miss stream reached the L3
+
     def test_arena_batching_tracks_the_batch_kernel(self, monkeypatch):
         """Arena batching is on exactly when the compiled batch driver loaded."""
         loaded = engine_module.descriptor_batch_kernel() is not None

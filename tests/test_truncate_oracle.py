@@ -7,6 +7,11 @@ clip with the same ``_clip_batch``.  The cutoff is the unique smallest
 position with ``keep`` members below it, so the truncated chunks must be
 equal field for field: every batch array and its dtype, the scalars, the
 grid levels and ``pos_bound``.
+
+``truncate`` cuts in the compiled library when it is loaded and in Python
+otherwise; CI runs this file both ways, so the same assertions hold each
+cut to the oracle.  ``TestCompiledCut`` makes sure the compiled one is the
+cut that ran.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.codegen.program as program_module
 from repro.codegen import Target, build_program
 from repro.codegen.program import (
     AccessRunBatch,
@@ -28,6 +34,7 @@ from repro.codegen.program import (
     _outer_slab_span,
     _search_cutoff,
 )
+from repro.sim import _native
 from repro.workloads.resnet import scaled_group_params
 from tests.conftest import make_conv_func
 from tests.test_trace_descriptors import (
@@ -121,6 +128,27 @@ def assert_cut_matches(chunk: DescriptorChunk, keep: int) -> DescriptorChunk:
     return truncated
 
 
+def descending_inner_level_chunk() -> DescriptorChunk:
+    """A hand-built grid whose inner level steps backwards in position.
+
+    The inner level's slabs interleave, so it degrids; the outer level's
+    slabs tile 0–5, 6–11 and 12–17 only because the inner level's negative
+    step widens the slab span downwards, as ``_outer_slab_span`` adds it.
+    """
+    batch = AccessRunBatch(
+        bases=np.array([0x100], dtype=np.int64),
+        stride=4,
+        pos_stride=1,
+        is_write=False,
+        uniform_count=2,
+        first_pos_start=4,
+        grid_strides=np.array([0x100, 0x10], dtype=np.int64),
+        grid_counts=np.array([3, 3], dtype=np.int64),
+        grid_pos_strides=np.array([6, -2], dtype=np.int64),
+    )
+    return DescriptorChunk(total=18, pos_bound=18, batches=[batch])
+
+
 def has_interleaved_level(batch: AccessRunBatch) -> bool:
     """Whether some grid level's slabs interleave in position space."""
     while batch.grid_counts is not None:
@@ -151,7 +179,9 @@ class TestAgainstBisection:
                 assert np.array_equal(t_addresses, addresses[:keep])
                 assert np.array_equal(t_writes, writes[:keep])
 
-    @pytest.mark.parametrize("build", [overlapping_grid_chunk, interleaved_runs_chunk])
+    @pytest.mark.parametrize(
+        "build", [overlapping_grid_chunk, interleaved_runs_chunk, descending_inner_level_chunk]
+    )
     def test_handbuilt_chunks_every_cut(self, build):
         chunk = build()
         addresses, writes = chunk.expand()
@@ -196,6 +226,38 @@ class TestAgainstBisection:
         for chunk in chunks:
             for keep in range(1, chunk.total + 1):
                 assert_cut_matches(chunk, keep)
+
+
+class TestCompiledCut:
+    def test_python_cut_does_not_run_with_the_kernel_loaded(self, monkeypatch):
+        """Every cut below comes from the kernel, so the oracle suite
+        cannot pass on the Python cut alone."""
+        if _native.cut_chunk_kernel() is None:
+            pytest.skip("compiled native kernels unavailable in this environment")
+        chunks = [
+            overlapping_grid_chunk(),
+            interleaved_runs_chunk(),
+            descending_inner_level_chunk(),
+        ]
+        for arch, group in (("x86", 0), ("arm", 3)):
+            program = build_program(
+                make_conv_func(scaled_group_params(group))[0], Target.from_name(arch)
+            )
+            chunks.extend(program.memory_trace_descriptors(chunk_iterations=4096))
+        cuts = [
+            (chunk, keep, reference_truncate(chunk, keep))
+            for chunk in chunks
+            for keep in {1, chunk.total // 3, chunk.total - 1}
+            if 0 < keep < chunk.total
+        ]
+
+        def python_cut(*_args, **_kwargs):
+            raise AssertionError("the Python cut ran while the cut kernel is loaded")
+
+        for name in ("_MemberCounter", "_search_cutoff", "_clip_batch"):
+            monkeypatch.setattr(program_module, name, python_cut)
+        for chunk, keep, expected in cuts:
+            assert_chunks_equal(chunk.truncate(keep), expected)
 
 
 # -- probe bound ----------------------------------------------------------------
